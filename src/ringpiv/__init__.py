@@ -1,9 +1,7 @@
-"""Binary cross-correlation PIV with a discrete-event GALS ring simulator."""
+"""Binary cross-correlation PIV: 10-bit frame pairs to one integer displacement per window."""
 
 from .errors import (
-    CalibrationError,
     ConfigError,
-    DeadlockError,
     DimensionError,
     InputFormatError,
     RingPivError,
@@ -28,10 +26,8 @@ from .synth import FlowSpec, ParticleField, RenderConfig, advect, render_pair, s
 
 __all__ = [
     "BinaryImage",
-    "CalibrationError",
     "ConfigError",
     "CorrelationPlane",
-    "DeadlockError",
     "DimensionError",
     "Displacement",
     "FlowSpec",

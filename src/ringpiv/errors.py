@@ -14,18 +14,5 @@ class ConfigError(RingPivError, ValueError):
 
 
 class InputFormatError(RingPivError, ValueError):
-    """Malformed or unsupported input file (bad PGM magic, oversized pixels, bad CSV)."""
+    """Malformed or unsupported input (bad PGM magic, pixel above maxval, non-integer intensity)."""
 
-
-class CalibrationError(RingPivError, RuntimeError):
-    """Timing-model fit failed or reference data insufficient."""
-
-
-class DeadlockError(RingPivError, RuntimeError):
-    """Simulation made no progress while work was still pending."""
-
-    def __init__(self, stalled_modules):
-        self.stalled_modules = sorted(stalled_modules)
-        super().__init__(
-            "simulation deadlock; stalled modules: " + ", ".join(self.stalled_modules)
-        )

@@ -12,9 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, InputFormatError
 
 MAX_INTENSITY = 1023  # 10-bit sensor ceiling
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(..., w) bool with w <= 64 -> (...) uint64 row words, bit x = column x."""
+    padded = np.zeros(bits.shape[:-1] + (64,), dtype=bool)
+    padded[..., : bits.shape[-1]] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")[..., 0]
 
 
 @dataclass(frozen=True)
@@ -32,12 +39,16 @@ class GrayImage:
             raise DimensionError(
                 f"data shape {self.data.shape} does not match {self.height}x{self.width}"
             )
-        if self.data.dtype != np.uint16:
-            object.__setattr__(self, "data", self.data.astype(np.uint16))
+        if not np.issubdtype(self.data.dtype, np.integer):
+            raise InputFormatError(f"intensities must be integers, got dtype {self.data.dtype}")
+        if self.data.size and int(self.data.min()) < 0:
+            raise InputFormatError(f"intensity {int(self.data.min())} is negative")
         if self.data.size and int(self.data.max()) > MAX_INTENSITY:
             raise DimensionError(
                 f"intensity {int(self.data.max())} exceeds 10-bit maximum {MAX_INTENSITY}"
             )
+        if self.data.dtype != np.uint16:
+            object.__setattr__(self, "data", self.data.astype(np.uint16))
         self.data.setflags(write=False)
 
     @classmethod
@@ -45,7 +56,7 @@ class GrayImage:
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise DimensionError(f"expected a 2-D array, got shape {arr.shape}")
-        return cls(width=arr.shape[1], height=arr.shape[0], data=arr.astype(np.uint16))
+        return cls(width=arr.shape[1], height=arr.shape[0], data=arr.copy())
 
     def window(self, x0: int, y0: int, size: int) -> "GrayImage":
         if x0 < 0 or y0 < 0 or x0 + size > self.width or y0 + size > self.height:
@@ -124,6 +135,4 @@ class BinaryImage:
         """Rows as uint64 values, bit x of row y = pixel (x, y). Requires width <= 64."""
         if self.width > 64:
             raise DimensionError(f"packed_rows supports width <= 64, got {self.width}")
-        bits = self.to_bool()
-        weights = (np.uint64(1) << np.arange(self.width, dtype=np.uint64))
-        return (bits.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+        return _pack_rows(self.to_bool())

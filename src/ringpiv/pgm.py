@@ -60,10 +60,11 @@ def read_pgm(path) -> GrayImage:
             f"PGM raster truncated: expected {need} bytes, got {len(raster)}"
         )
     data = np.frombuffer(raster, dtype=dtype).reshape(height, width).astype(np.uint16)
-    if int(data.max(initial=0)) > MAX_INTENSITY:
-        raise InputFormatError(
-            f"pixel value {int(data.max())} exceeds the 10-bit maximum {MAX_INTENSITY}"
-        )
+    top = int(data.max(initial=0))
+    if top > maxval:
+        raise InputFormatError(f"pixel value {top} exceeds the header maxval {maxval}")
+    if top > MAX_INTENSITY:
+        raise InputFormatError(f"pixel value {top} exceeds the 10-bit maximum {MAX_INTENSITY}")
     return GrayImage(width=width, height=height, data=data)
 
 

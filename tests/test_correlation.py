@@ -113,7 +113,7 @@ def test_binary_pattern_larger_than_search_rejected():
 
 @settings(max_examples=120, deadline=None)
 @given(
-    w=st.integers(min_value=2, max_value=32),
+    w=st.integers(min_value=2, max_value=64),
     p_frac=st.floats(min_value=0.1, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**31),
 )

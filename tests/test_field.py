@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringpiv import (
     DimensionError,
@@ -48,6 +51,29 @@ def test_uniform_translation_recovered_on_synthetic_pair():
     assert hits >= 76  # >= 95% of 80 windows
 
 
+def per_window_vectors(f1, f2, cfg):
+    """(dx, dy, peak, index) of each window, correlated one BinaryImage window at a time.
+
+    Each plane is also checked against the per-bit XNOR count.
+    """
+    grid = tile_windows(f1.width, f1.height, cfg.window_size)
+    b1 = binarize_frame(f1, grid, cfg)
+    b2 = binarize_frame(f2, grid, cfg)
+    off = (cfg.window_size - cfg.pattern_size) // 2
+    vectors = []
+    for idx in range(grid.count):
+        x0, y0 = grid.origin(idx)
+        search = b1.window(x0, y0, cfg.window_size)
+        pattern = b2.window(x0 + off, y0 + off, cfg.pattern_size)
+        plane = xcorr_binary(search, pattern)
+        bits = pattern.to_bool()
+        xnor = (sliding_window_view(search.to_bool(), bits.shape) == bits).sum(axis=(2, 3))
+        np.testing.assert_array_equal(plane.values, xnor)
+        d = peak_displacement(plane, idx)
+        vectors.append((d.dx, d.dy, d.peak_value, d.window_index))
+    return vectors
+
+
 def test_batched_field_matches_per_window_path():
     # The batched pipeline must equal window-by-window correlation.
     field = seed_particles(96, 64, density=12, seed=7)
@@ -55,20 +81,35 @@ def test_batched_field_matches_per_window_path():
     f1, f2 = render_pair(field, flow, RenderConfig(width=96, height=64))
     cfg = PivConfig()
     out = compute_field(f1, f2, cfg)
-    grid = tile_windows(96, 64, cfg.window_size)
-    b1 = binarize_frame(f1, grid, cfg)
-    b2 = binarize_frame(f2, grid, cfg)
-    off = (cfg.window_size - cfg.pattern_size) // 2
-    for idx in range(grid.count):
-        x0, y0 = grid.origin(idx)
-        search = b1.window(x0, y0, cfg.window_size)
-        pattern = b2.window(x0 + off, y0 + off, cfg.pattern_size)
-        d = peak_displacement(xcorr_binary(search, pattern), idx)
-        assert (d.dx, d.dy, d.peak_value) == (
-            out.vectors[idx].dx,
-            out.vectors[idx].dy,
-            out.vectors[idx].peak_value,
-        )
+    got = [(v.dx, v.dy, v.peak_value, v.window_index) for v in out.vectors]
+    assert got == per_window_vectors(f1, f2, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.integers(2, 64).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, w))),
+    tiles=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    binarization=st.sampled_from(["adaptive", "global"]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(sizes=(33, 16), tiles=(2, 1), binarization="adaptive", seed=1)  # asymmetric centring
+@example(sizes=(64, 64), tiles=(1, 2), binarization="adaptive", seed=2)  # the w = 64 limit
+@example(sizes=(64, 48), tiles=(2, 1), binarization="global", seed=3)  # p > 32: one row per word
+@example(sizes=(32, 13), tiles=(2, 2), binarization="adaptive", seed=4)  # last row group has 1 row
+@example(sizes=(8, 5), tiles=(17, 16), binarization="adaptive", seed=5)  # 272 windows: partial chunk
+def test_field_matches_per_window_path_over_random_geometry(sizes, tiles, binarization, seed):
+    w, p = sizes
+    cols, rows = tiles
+    rng = np.random.default_rng(seed)
+    levels = int(rng.choice([2, 4, 1024]))  # few levels make tied peaks common
+    a = rng.integers(0, levels, size=(rows * w, cols * w)) * (1023 // (levels - 1))
+    b = np.roll(a, tuple(rng.integers(-3, 4, size=2)), axis=(0, 1))
+    f1, f2 = GrayImage.from_array(a), GrayImage.from_array(b)
+    threshold = int(rng.integers(0, 1024)) if binarization == "global" else None
+    cfg = PivConfig(window_size=w, pattern_size=p, binarization=binarization, threshold=threshold)
+    out = compute_field(f1, f2, cfg)
+    got = [(v.dx, v.dy, v.peak_value, v.window_index) for v in out.vectors]
+    assert got == per_window_vectors(f1, f2, cfg)
 
 
 def test_compute_field_deterministic():

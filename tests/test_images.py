@@ -1,12 +1,31 @@
 import numpy as np
 import pytest
 
-from ringpiv import BinaryImage, DimensionError, GrayImage
+from ringpiv import BinaryImage, DimensionError, GrayImage, InputFormatError
 
 
 def test_gray_rejects_out_of_range():
     with pytest.raises(DimensionError):
         GrayImage.from_array(np.full((4, 4), 1024, dtype=np.int32))
+    with pytest.raises(DimensionError, match="intensity 70000"):
+        GrayImage.from_array(np.full((4, 4), 70000, dtype=np.int32))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([[1.7, 2.0]], "dtype float64"),
+        ([[np.nan, 2.0]], "dtype float64"),
+        ([[True, False]], "dtype bool"),
+        ([[-1, 2]], "intensity -1 is negative"),
+    ],
+)
+def test_gray_rejects_non_integer_and_negative(values, message):
+    data = np.array(values)
+    with pytest.raises(InputFormatError, match=message):
+        GrayImage.from_array(data)
+    with pytest.raises(InputFormatError, match=message):
+        GrayImage(width=2, height=1, data=data)
 
 
 def test_gray_shape_mismatch():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringpiv import (
@@ -95,3 +95,27 @@ def test_planted_pattern_recovers_exact_shift(a, b, seed):
     d = peak_displacement(plane)
     assert (d.dx, d.dy) == (a, b)
     assert d.peak_value == p * p
+
+
+def lexsort_peak(values, offset):
+    """Reference tie-break: every maximum, sorted by (dx^2 + dy^2, iy, ix)."""
+    peak = values.max()
+    ties_y, ties_x = np.nonzero(values == peak)
+    dx = offset[0] - ties_x
+    dy = offset[1] - ties_y
+    best = np.lexsort((ties_x, ties_y, dx * dx + dy * dy))[0]
+    return int(dx[best]), int(dy[best]), int(peak)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+    offset=st.tuples(st.integers(-25, 45), st.integers(-25, 45)),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(shape=(3, 11), offset=(5, 1), seed=0)
+@example(shape=(9, 4), offset=(-6, 30), seed=1)
+def test_peak_matches_lexsort_reference_on_tie_heavy_planes(shape, offset, seed):
+    values = np.random.default_rng(seed).integers(0, 3, size=shape)
+    d = peak_displacement(make_plane(values, offset))
+    assert (d.dx, d.dy, d.peak_value) == lexsort_peak(values, offset)

@@ -54,3 +54,11 @@ def test_rejects_truncated_raster(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(InputFormatError, match="truncated"):
         read_pgm(path)
+
+
+def test_rejects_pixel_above_maxval(tmp_path):
+    path = tmp_path / "g.pgm"
+    data = np.array([[300, 400]], dtype=">u2")
+    path.write_bytes(b"P5\n2 1\n300\n" + data.tobytes())
+    with pytest.raises(InputFormatError, match="400 exceeds the header maxval 300"):
+        read_pgm(path)

@@ -101,8 +101,10 @@ def test_partial_exit_keeps_particles():
     f = ParticleField(positions=np.array([[30.0, 16.0]]), radius=2.0, seed=0)
     moved = advect(f, FlowSpec.uniform(10, 0))
     assert moved.count == 1  # kept even though it leaves a 32px frame
-    img = render(moved, RenderConfig(width=32, height=32))
-    assert (img == RenderConfig(width=32, height=32).background).all() or True
+    small = RenderConfig(width=32, height=32)
+    assert (render(moved, small) == small.background).all()  # x = 40 lies outside
+    large = RenderConfig(width=64, height=64)
+    assert (render(moved, large) > large.background).any()
 
 
 def test_recovery_rate_uniform_flows():
