@@ -16,11 +16,9 @@ from .piv import (
     binarize_adaptive,
     binarize_global,
     compute_field,
-    extract_pattern,
     peak_displacement,
     tile_windows,
     xcorr_binary,
-    xcorr_gray,
 )
 from .synth import FlowSpec, ParticleField, RenderConfig, advect, render_pair, seed_particles
 
@@ -44,11 +42,9 @@ __all__ = [
     "binarize_adaptive",
     "binarize_global",
     "compute_field",
-    "extract_pattern",
     "peak_displacement",
     "render_pair",
     "seed_particles",
     "tile_windows",
     "xcorr_binary",
-    "xcorr_gray",
 ]

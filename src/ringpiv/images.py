@@ -1,9 +1,8 @@
-"""Image containers: 10-bit grayscale rasters and bit-packed binary images.
+"""Image containers: 10-bit grayscale rasters and binary rasters.
 
-A BinaryImage stores pixels as a continuous row-major bit stream packed
-32 bits per word, LSB-first within each word.  Bit k of the stream is
-pixel (x, y) with k = y * width + x; only the final word may carry
-zero padding.
+A BinaryImage is a read-only 2-D bool raster, one byte per pixel.  The one
+packed format is ``_pack_rows``' uint64 row word: bit x of a row's word is
+column x, for rows of at most 64 pixels.
 """
 
 from __future__ import annotations
@@ -58,81 +57,50 @@ class GrayImage:
             raise DimensionError(f"expected a 2-D array, got shape {arr.shape}")
         return cls(width=arr.shape[1], height=arr.shape[0], data=arr.copy())
 
-    def window(self, x0: int, y0: int, size: int) -> "GrayImage":
-        if x0 < 0 or y0 < 0 or x0 + size > self.width or y0 + size > self.height:
-            raise DimensionError(
-                f"window {size}x{size} at ({x0},{y0}) exceeds image {self.width}x{self.height}"
-            )
-        return GrayImage.from_array(self.data[y0 : y0 + size, x0 : x0 + size])
-
 
 @dataclass(frozen=True)
 class BinaryImage:
-    """Bit-packed binary raster: 32 pixels per word, continuous row-major stream."""
+    """Read-only binary raster; ``bits[y, x]`` is pixel (x, y)."""
 
-    width: int
-    height: int
-    words: np.ndarray  # uint32, length ceil(width*height / 32)
+    bits: np.ndarray  # shape (height, width), bool
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise DimensionError(f"image dimensions must be positive, got {self.width}x{self.height}")
-        nbits = self.width * self.height
-        nwords = (nbits + 31) // 32
-        if self.words.dtype != np.uint32:
-            object.__setattr__(self, "words", self.words.astype(np.uint32))
-        if self.words.shape != (nwords,):
+        if self.bits.dtype != bool or self.bits.ndim != 2 or self.bits.size == 0:
             raise DimensionError(
-                f"expected {nwords} packed words for {self.width}x{self.height}, got {self.words.shape}"
+                f"expected a non-empty 2-D bool array, got {self.bits.dtype} of shape {self.bits.shape}"
             )
-        # Padding bits beyond width*height must be zero.
-        pad = nwords * 32 - nbits
-        if pad and (int(self.words[-1]) >> (32 - pad)):
-            raise DimensionError("padding bits of the final word are not zero")
-        self.words.setflags(write=False)
+        self.bits.setflags(write=False)
 
     @property
-    def bit_count(self) -> int:
-        return self.width * self.height
+    def width(self) -> int:
+        return self.bits.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.bits.shape[0]
 
     @classmethod
     def from_bool(cls, arr) -> "BinaryImage":
-        """Pack a 2-D boolean array into the 32-bit word stream."""
-        arr = np.asarray(arr, dtype=bool)
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a 2-D array, got shape {arr.shape}")
-        h, w = arr.shape
-        flat = arr.reshape(-1)
-        nwords = (flat.size + 31) // 32
-        padded = np.zeros(nwords * 32, dtype=bool)
-        padded[: flat.size] = flat
-        octets = np.packbits(padded, bitorder="little")
-        words = octets.view("<u4").copy()
-        return cls(width=w, height=h, words=words)
+        """Copy a 2-D boolean array."""
+        return cls(bits=np.array(arr, dtype=bool))
 
     def to_bool(self) -> np.ndarray:
-        """Unpack to a 2-D boolean array of shape (height, width)."""
-        octets = self.words.view(np.uint8)
-        bits = np.unpackbits(octets, bitorder="little")[: self.bit_count]
-        return bits.reshape(self.height, self.width).astype(bool)
-
-    def get_bit(self, x: int, y: int) -> int:
-        k = y * self.width + x
-        return (int(self.words[k >> 5]) >> (k & 31)) & 1
+        """The read-only (height, width) bool array."""
+        return self.bits
 
     def popcount(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
+        return int(np.count_nonzero(self.bits))
 
     def window(self, x0: int, y0: int, size: int) -> "BinaryImage":
-        """Extract a square sub-region as a new packed image."""
+        """Square sub-region, sharing this image's pixels."""
         if x0 < 0 or y0 < 0 or x0 + size > self.width or y0 + size > self.height:
             raise DimensionError(
                 f"window {size}x{size} at ({x0},{y0}) exceeds image {self.width}x{self.height}"
             )
-        return BinaryImage.from_bool(self.to_bool()[y0 : y0 + size, x0 : x0 + size])
+        return BinaryImage(bits=self.bits[y0 : y0 + size, x0 : x0 + size])
 
     def packed_rows(self) -> np.ndarray:
         """Rows as uint64 values, bit x of row y = pixel (x, y). Requires width <= 64."""
         if self.width > 64:
             raise DimensionError(f"packed_rows supports width <= 64, got {self.width}")
-        return _pack_rows(self.to_bool())
+        return _pack_rows(self.bits)

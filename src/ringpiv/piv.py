@@ -35,10 +35,10 @@ winner.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError
 from .images import BinaryImage, GrayImage
@@ -93,18 +93,24 @@ class PivConfig:
 
     ``binarization`` is either "adaptive" (per-window mean threshold) or
     "global" (one fixed threshold for the whole image, ``threshold``
-    required).  ``tie_break`` names the rule used for equal correlation
-    peaks; only "center-nearest" (smallest dx^2+dy^2, then row-major) is
-    defined.
+    required).  Equal correlation peaks go to the smallest dx^2 + dy^2,
+    then to the first in row-major plane order.  Sizes and the threshold
+    must be integers; numpy integers are stored as ``int``.
     """
 
     window_size: int = 32
     pattern_size: int = 16
     binarization: str = "adaptive"
     threshold: int | None = None
-    tie_break: str = "center-nearest"
 
     def __post_init__(self):
+        for name in ("window_size", "pattern_size", "threshold"):
+            value = getattr(self, name)
+            if value is None and name == "threshold":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.window_size <= 0 or self.pattern_size <= 0:
             raise ConfigError("window_size and pattern_size must be positive")
         if self.pattern_size > self.window_size:
@@ -120,8 +126,6 @@ class PivConfig:
                 raise ConfigError("global binarization requires a threshold")
             if not (0 <= self.threshold <= 1023):
                 raise ConfigError(f"threshold {self.threshold} outside 0..1023")
-        if self.tie_break != "center-nearest":
-            raise ConfigError(f"unknown tie-break rule {self.tie_break!r}")
 
     @property
     def search_range(self) -> int:
@@ -133,21 +137,13 @@ class PivConfig:
 class CorrelationPlane:
     """Correlation sums over all fully-overlapping pattern placements."""
 
-    values: np.ndarray  # shape (shifts_y, shifts_x), int64
+    values: np.ndarray  # shape (placements_y, placements_x), int64
     shift_offset: tuple[int, int]  # (x, y) placement equal to zero displacement
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.size == 0:
             raise DimensionError(f"correlation plane must be a non-empty 2-D array, got {self.values.shape}")
         self.values.setflags(write=False)
-
-    @property
-    def shifts_x(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shifts_y(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,7 @@ def _binarize(img: GrayImage, grid: WindowGrid | None, threshold: int | None) ->
 
 def binarize_global(img: GrayImage, threshold: int) -> BinaryImage:
     """Set bit = 1 where pixel >= threshold."""
-    return BinaryImage.from_bool(_binarize(img, None, threshold))
+    return BinaryImage(bits=_binarize(img, None, threshold))
 
 
 def _window_sums(data: np.ndarray, ws: int) -> np.ndarray:
@@ -208,43 +204,12 @@ def adaptive_thresholds(img: GrayImage, grid: WindowGrid) -> np.ndarray:
 
 def binarize_adaptive(img: GrayImage, grid: WindowGrid) -> BinaryImage:
     """Binarize with one mean-based threshold per interrogation window."""
-    return BinaryImage.from_bool(_binarize(img, grid, None))
+    return BinaryImage(bits=_binarize(img, grid, None))
 
 
 def pattern_offset(window_size: int, pattern_size: int) -> int:
     """Top-left offset of the centered pattern inside its window."""
     return (window_size - pattern_size) // 2
-
-
-def extract_pattern(window: BinaryImage, pattern_size: int) -> BinaryImage:
-    """Centered pattern_size x pattern_size sub-block of a binary window."""
-    if window.width != window.height:
-        raise ConfigError(f"window must be square, got {window.width}x{window.height}")
-    if pattern_size > window.width:
-        raise ConfigError(
-            f"pattern size {pattern_size} exceeds window size {window.width}"
-        )
-    off = pattern_offset(window.width, pattern_size)
-    return window.window(off, off, pattern_size)
-
-
-def _centered_offset(w: int, p: int) -> tuple[int, int]:
-    off = pattern_offset(w, p)
-    return (off, off)
-
-
-def xcorr_gray(search: GrayImage, pattern: GrayImage) -> CorrelationPlane:
-    """Direct grayscale cross-correlation (sum of products) at all placements."""
-    if search.width != search.height or pattern.width != pattern.height:
-        raise ConfigError("search and pattern regions must be square")
-    if pattern.width > search.width:
-        raise ConfigError(
-            f"pattern {pattern.width} larger than search window {search.width}"
-        )
-    p = pattern.width
-    views = sliding_window_view(search.data.astype(np.int64), (p, p))
-    values = np.einsum("ijkl,kl->ij", views, pattern.data.astype(np.int64))
-    return CorrelationPlane(values=values, shift_offset=_centered_offset(search.width, p))
 
 
 def _packed_xcorr_batch(
@@ -297,9 +262,8 @@ def xcorr_binary(search: BinaryImage, pattern: BinaryImage) -> CorrelationPlane:
     values = _packed_xcorr_batch(
         search.packed_rows()[None], pattern.packed_rows()[None], search.width, pattern.width
     )[0]
-    return CorrelationPlane(
-        values=values, shift_offset=_centered_offset(search.width, pattern.width)
-    )
+    off = pattern_offset(search.width, pattern.width)
+    return CorrelationPlane(values=values, shift_offset=(off, off))
 
 
 @functools.lru_cache(maxsize=16)
@@ -344,7 +308,7 @@ def _threshold(cfg: PivConfig) -> int | None:
 
 
 def binarize_frame(img: GrayImage, grid: WindowGrid, cfg: PivConfig) -> BinaryImage:
-    return BinaryImage.from_bool(_binarize(img, grid, _threshold(cfg)))
+    return BinaryImage(bits=_binarize(img, grid, _threshold(cfg)))
 
 
 def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> VectorField:
@@ -367,13 +331,12 @@ def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> Vecto
     search_rows = _pack_window_rows(search_wins)
     pattern_rows = _pack_window_rows(pattern_wins)
 
-    offset = _centered_offset(w, p)
     vectors = []
     for start in range(0, grid.count, _CHUNK):
         stop = start + _CHUNK
         planes = _packed_xcorr_batch(search_rows[start:stop], pattern_rows[start:stop], w, p)
         vectors += [
-            peak_displacement(CorrelationPlane(values=plane, shift_offset=offset), start + i)
+            peak_displacement(CorrelationPlane(values=plane, shift_offset=(off, off)), start + i)
             for i, plane in enumerate(planes)
         ]
     return VectorField(grid=grid, vectors=vectors)

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringpiv import (
+    ConfigError,
     DimensionError,
     FlowSpec,
     GrayImage,
@@ -49,6 +50,47 @@ def test_uniform_translation_recovered_on_synthetic_pair():
     result = compute_field(f1, f2, PivConfig())
     hits = sum(1 for v in result.vectors if (v.dx, v.dy) == (3, 1))
     assert hits >= 76  # >= 95% of 80 windows
+
+
+@pytest.mark.parametrize(
+    "flow",
+    [FlowSpec.shear(0.02), FlowSpec.vortex((160.0, 128.0), 0.02)],
+    ids=["shear", "vortex"],
+)
+def test_varying_flow_recovered_at_window_centres(flow):
+    f1, f2 = render_pair(seed_particles(320, 256, density=10, seed=42), flow, RenderConfig())
+    result = compute_field(f1, f2, PivConfig())
+    centres = np.array([result.grid.center(i) for i in range(result.grid.count)])
+    ux, uy = flow.displacement_at(centres[:, 0], centres[:, 1])
+    got = np.array([(v.dx, v.dy) for v in result.vectors])
+    hits = np.count_nonzero((np.abs(got - np.column_stack([ux, uy])) <= 1).all(axis=1))
+    assert hits >= 76  # >= 95% of 80 windows, as for the uniform flow
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"window_size": 32.0},
+        {"pattern_size": 16.5},
+        {"window_size": True},
+        {"binarization": "global", "threshold": 500.5},
+        {"binarization": "global", "threshold": True},
+        {"threshold": "500"},
+    ],
+)
+def test_config_rejects_non_integer_sizes_and_thresholds(kwargs):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        PivConfig(**kwargs)
+
+
+def test_config_stores_numpy_integers_as_int():
+    cfg = PivConfig(
+        window_size=np.int64(32), pattern_size=np.int32(16), binarization="global", threshold=np.uint16(500)
+    )
+    assert all(type(v) is int for v in (cfg.window_size, cfg.pattern_size, cfg.threshold))
+    img = GrayImage.from_array(np.zeros((32, 32), dtype=np.uint16))
+    d = compute_field(img, img, cfg).vectors[0]
+    assert type(d.dx) is int and type(d.dy) is int
 
 
 def per_window_vectors(f1, f2, cfg):

@@ -39,35 +39,30 @@ def test_binary_roundtrip_random():
         bits = rng.random((h, w)) < 0.5
         img = BinaryImage.from_bool(bits)
         assert img.width == w and img.height == h
-        assert len(img.words) == (w * h + 31) // 32
         np.testing.assert_array_equal(img.to_bool(), bits)
 
 
-def test_binary_bit_order_is_lsb_first_row_major():
-    # Only pixel (x=1, y=0) set in a 3x2 image -> stream bit 1 -> word value 2.
-    bits = np.zeros((2, 3), dtype=bool)
-    bits[0, 1] = True
-    img = BinaryImage.from_bool(bits)
-    assert int(img.words[0]) == 2
-    # Pixel (x=0, y=1) is stream bit 3 -> value 8.
-    bits2 = np.zeros((2, 3), dtype=bool)
-    bits2[1, 0] = True
-    assert int(BinaryImage.from_bool(bits2).words[0]) == 8
-
-
-def test_binary_get_bit_matches_unpacked():
-    rng = np.random.default_rng(11)
-    bits = rng.random((9, 13)) < 0.4
-    img = BinaryImage.from_bool(bits)
-    for y in range(9):
-        for x in range(13):
-            assert img.get_bit(x, y) == int(bits[y, x])
-
-
-def test_binary_rejects_dirty_padding():
-    words = np.array([0xFFFFFFFF], dtype=np.uint32)
+@pytest.mark.parametrize(
+    "bits",
+    [
+        np.ones((4, 4), dtype=np.uint8),
+        np.ones(16, dtype=bool),
+        np.ones((0, 4), dtype=bool),
+    ],
+    ids=["uint8", "1-D", "empty"],
+)
+def test_binary_rejects_non_bool_non_2d_and_empty(bits):
     with pytest.raises(DimensionError):
-        BinaryImage(width=5, height=5, words=words)  # 25 bits, 7 pad bits set
+        BinaryImage(bits=bits)
+
+
+def test_binary_from_bool_copies_and_to_bool_is_read_only():
+    bits = np.zeros((3, 5), dtype=bool)
+    img = BinaryImage.from_bool(bits)
+    bits[1, 2] = True
+    assert not img.to_bool().any()
+    with pytest.raises(ValueError):
+        img.to_bool()[0, 0] = True
 
 
 def test_binary_window_extraction():

@@ -1,13 +1,10 @@
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringpiv import (
     BinaryImage,
-    ConfigError,
     CorrelationPlane,
-    extract_pattern,
     peak_displacement,
     xcorr_binary,
 )
@@ -49,22 +46,6 @@ def test_tie_break_prefers_smaller_magnitude_then_row_major():
     v2[7, 8] = 9   # dy = +1
     v2[9, 8] = 9   # dy = -1
     assert peak_displacement(make_plane(v2)).dy == 1
-
-
-def test_extract_pattern_identity_and_centered():
-    rng = np.random.default_rng(12)
-    bits = rng.random((32, 32)) < 0.5
-    win = BinaryImage.from_bool(bits)
-    same = extract_pattern(win, 32)
-    np.testing.assert_array_equal(same.to_bool(), bits)
-    sub = extract_pattern(win, 16)
-    np.testing.assert_array_equal(sub.to_bool(), bits[8:24, 8:24])
-
-
-def test_extract_pattern_too_large():
-    win = BinaryImage.from_bool(np.zeros((32, 32), dtype=bool))
-    with pytest.raises(ConfigError):
-        extract_pattern(win, 33)
 
 
 @settings(max_examples=60, deadline=None)
