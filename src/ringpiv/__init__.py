@@ -8,13 +8,10 @@ from .errors import (
 )
 from .images import BinaryImage, GrayImage, MAX_INTENSITY
 from .piv import (
-    CorrelationPlane,
     Displacement,
     PivConfig,
     VectorField,
     WindowGrid,
-    binarize_adaptive,
-    binarize_global,
     compute_field,
     peak_displacement,
     tile_windows,
@@ -25,7 +22,6 @@ from .synth import FlowSpec, ParticleField, RenderConfig, advect, render_pair, s
 __all__ = [
     "BinaryImage",
     "ConfigError",
-    "CorrelationPlane",
     "DimensionError",
     "Displacement",
     "FlowSpec",
@@ -39,8 +35,6 @@ __all__ = [
     "VectorField",
     "WindowGrid",
     "advect",
-    "binarize_adaptive",
-    "binarize_global",
     "compute_field",
     "peak_displacement",
     "render_pair",

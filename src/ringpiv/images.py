@@ -23,26 +23,23 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=-1, bitorder="little").view("<u8")[..., 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrayImage:
-    """Row-major grayscale raster with 10-bit intensities."""
+    """Read-only grayscale raster with 10-bit intensities; ``data[y, x]`` is pixel (x, y).
 
-    width: int
-    height: int
+    ``==`` is identity; compare contents with ``np.array_equal(a.data, b.data)``.
+    """
+
     data: np.ndarray  # shape (height, width), uint16
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise DimensionError(f"image dimensions must be positive, got {self.width}x{self.height}")
-        if self.data.shape != (self.height, self.width):
-            raise DimensionError(
-                f"data shape {self.data.shape} does not match {self.height}x{self.width}"
-            )
+        if self.data.ndim != 2 or self.data.size == 0:
+            raise DimensionError(f"expected a non-empty 2-D array, got shape {self.data.shape}")
         if not np.issubdtype(self.data.dtype, np.integer):
             raise InputFormatError(f"intensities must be integers, got dtype {self.data.dtype}")
-        if self.data.size and int(self.data.min()) < 0:
+        if int(self.data.min()) < 0:
             raise InputFormatError(f"intensity {int(self.data.min())} is negative")
-        if self.data.size and int(self.data.max()) > MAX_INTENSITY:
+        if int(self.data.max()) > MAX_INTENSITY:
             raise DimensionError(
                 f"intensity {int(self.data.max())} exceeds 10-bit maximum {MAX_INTENSITY}"
             )
@@ -50,17 +47,26 @@ class GrayImage:
             object.__setattr__(self, "data", self.data.astype(np.uint16))
         self.data.setflags(write=False)
 
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
     @classmethod
     def from_array(cls, arr) -> "GrayImage":
-        arr = np.asarray(arr)
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a 2-D array, got shape {arr.shape}")
-        return cls(width=arr.shape[1], height=arr.shape[0], data=arr.copy())
+        """Copy a 2-D integer array."""
+        return cls(data=np.array(arr))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryImage:
-    """Read-only binary raster; ``bits[y, x]`` is pixel (x, y)."""
+    """Read-only binary raster; ``bits[y, x]`` is pixel (x, y).
+
+    ``==`` is identity; compare contents with ``np.array_equal(a.bits, b.bits)``.
+    """
 
     bits: np.ndarray  # shape (height, width), bool
 

@@ -65,7 +65,7 @@ def read_pgm(path) -> GrayImage:
         raise InputFormatError(f"pixel value {top} exceeds the header maxval {maxval}")
     if top > MAX_INTENSITY:
         raise InputFormatError(f"pixel value {top} exceeds the 10-bit maximum {MAX_INTENSITY}")
-    return GrayImage(width=width, height=height, data=data)
+    return GrayImage(data=data)
 
 
 def write_pgm(path, img: GrayImage) -> None:

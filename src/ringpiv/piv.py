@@ -2,14 +2,16 @@
 
 Coordinate conventions
 ----------------------
-A correlation plane is indexed (iy, ix) by the pattern placement top-left
-inside the search window; only fully-overlapping placements are evaluated,
-so a W-pixel window and P-pixel pattern give (W - P + 1) placements per
-axis.  The plane carries ``shift_offset`` = the placement that corresponds
-to zero displacement (the centered position).  A placement (iy, ix) maps to
+A correlation plane is an (s, s) array indexed (iy, ix) by the pattern
+placement top-left inside the search window; only fully-overlapping
+placements are evaluated, so a w-pixel window and p-pixel pattern give
+s = w - p + 1 placements per axis.  Zero displacement is the centred
+placement off = (s - 1) // 2 on both axes, which equals the pattern's own
+offset (w - p) // 2, so the plane's shape alone fixes it.  A placement
+(iy, ix) maps to
 
-    dx = shift_offset_x - ix
-    dy = shift_offset_y - iy
+    dx = off - ix
+    dy = off - iy
 
 so that (dx, dy) is the motion of particles from frame 1 to frame 2 in
 raster coordinates (positive dx rightward, positive dy downward).
@@ -27,7 +29,7 @@ its lanes.  Windows are correlated 256 at a time, which bounds the
 intermediates (under 3 MiB at 32/16) whatever the frame size and still
 shares each numpy call among 256 windows; one 4096-window batch of a
 2048x2048 frame ran about 2x slower.  The peak reads the plane in an order
-sorted by (dx^2 + dy^2, iy, ix), cached per shape and shift offset; argmax
+sorted by (dx^2 + dy^2, iy, ix), cached per plane size s; argmax
 returns the first of equal maxima, which in that order is the tie-break
 winner.
 """
@@ -93,9 +95,9 @@ class PivConfig:
 
     ``binarization`` is either "adaptive" (per-window mean threshold) or
     "global" (one fixed threshold for the whole image, ``threshold``
-    required).  Equal correlation peaks go to the smallest dx^2 + dy^2,
-    then to the first in row-major plane order.  Sizes and the threshold
-    must be integers; numpy integers are stored as ``int``.
+    required; adaptive mode takes none).  Equal correlation peaks go to the
+    smallest dx^2 + dy^2, then to the first in row-major plane order.  Sizes
+    and the threshold must be integers; numpy integers are stored as ``int``.
     """
 
     window_size: int = 32
@@ -121,29 +123,13 @@ class PivConfig:
             raise ConfigError("window_size above 64 is not supported by the packed correlator")
         if self.binarization not in ("adaptive", "global"):
             raise ConfigError(f"unknown binarization mode {self.binarization!r}")
-        if self.binarization == "global":
-            if self.threshold is None:
-                raise ConfigError("global binarization requires a threshold")
-            if not (0 <= self.threshold <= 1023):
-                raise ConfigError(f"threshold {self.threshold} outside 0..1023")
-
-    @property
-    def search_range(self) -> int:
-        """Tested placements per axis."""
-        return self.window_size - self.pattern_size + 1
-
-
-@dataclass(frozen=True)
-class CorrelationPlane:
-    """Correlation sums over all fully-overlapping pattern placements."""
-
-    values: np.ndarray  # shape (placements_y, placements_x), int64
-    shift_offset: tuple[int, int]  # (x, y) placement equal to zero displacement
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.size == 0:
-            raise DimensionError(f"correlation plane must be a non-empty 2-D array, got {self.values.shape}")
-        self.values.setflags(write=False)
+        if self.binarization == "adaptive":
+            if self.threshold is not None:
+                raise ConfigError(f"adaptive binarization takes no threshold, got {self.threshold}")
+        elif self.threshold is None:
+            raise ConfigError("global binarization requires a threshold")
+        elif not (0 <= self.threshold <= 1023):
+            raise ConfigError(f"threshold {self.threshold} outside 0..1023")
 
 
 @dataclass(frozen=True)
@@ -166,19 +152,14 @@ class VectorField:
             )
 
 
-def _binarize(img: GrayImage, grid: WindowGrid | None, threshold: int | None) -> np.ndarray:
-    """(H, W) bool: pixel >= threshold, or >= its window's mean when threshold is None."""
-    if threshold is not None:
-        return img.data >= threshold
+def _binarize(img: GrayImage, grid: WindowGrid, cfg: PivConfig) -> np.ndarray:
+    """(H, W) bool: pixel >= cfg.threshold ("global") or >= its window's mean ("adaptive")."""
+    if cfg.binarization == "global":
+        return img.data >= cfg.threshold
     ws = grid.window_size
     thr = adaptive_thresholds(img, grid).astype(np.uint16)
     blocks = img.data.reshape(grid.rows, ws, grid.cols, ws)
     return (blocks >= thr[:, None, :, None]).reshape(img.height, img.width)
-
-
-def binarize_global(img: GrayImage, threshold: int) -> BinaryImage:
-    """Set bit = 1 where pixel >= threshold."""
-    return BinaryImage(bits=_binarize(img, None, threshold))
 
 
 def _window_sums(data: np.ndarray, ws: int) -> np.ndarray:
@@ -200,11 +181,6 @@ def adaptive_thresholds(img: GrayImage, grid: WindowGrid) -> np.ndarray:
     sums = _window_sums(img.data, ws)
     area = ws * ws
     return (2 * sums + area) // (2 * area)
-
-
-def binarize_adaptive(img: GrayImage, grid: WindowGrid) -> BinaryImage:
-    """Binarize with one mean-based threshold per interrogation window."""
-    return BinaryImage(bits=_binarize(img, grid, None))
 
 
 def pattern_offset(window_size: int, pattern_size: int) -> int:
@@ -247,11 +223,12 @@ def _packed_xcorr_batch(
     return p * p - diff.astype(np.int64)
 
 
-def xcorr_binary(search: BinaryImage, pattern: BinaryImage) -> CorrelationPlane:
+def xcorr_binary(search: BinaryImage, pattern: BinaryImage) -> np.ndarray:
     """Binary cross-correlation: per-placement count of matching bits (XNOR sum).
 
-    Implemented with word-packed rows, XOR, and population counts; equal to
-    the per-bit definition exactly.
+    Returns the (s, s) int64 plane, s = w - p + 1.  Implemented with
+    word-packed rows, XOR, and population counts; equal to the per-bit
+    definition exactly.
     """
     if search.width != search.height or pattern.width != pattern.height:
         raise ConfigError("search and pattern regions must be square")
@@ -259,37 +236,40 @@ def xcorr_binary(search: BinaryImage, pattern: BinaryImage) -> CorrelationPlane:
         raise ConfigError(
             f"pattern {pattern.width} larger than search window {search.width}"
         )
-    values = _packed_xcorr_batch(
+    return _packed_xcorr_batch(
         search.packed_rows()[None], pattern.packed_rows()[None], search.width, pattern.width
     )[0]
-    off = pattern_offset(search.width, pattern.width)
-    return CorrelationPlane(values=values, shift_offset=(off, off))
 
 
 @functools.lru_cache(maxsize=16)
-def _tie_order(shape: tuple[int, int], shift_offset: tuple[int, int]) -> np.ndarray:
-    """Flat placement indices sorted by (dx^2 + dy^2, iy, ix), read-only."""
-    iy, ix = np.indices(shape).reshape(2, -1)
-    order = np.lexsort((ix, iy, (shift_offset[0] - ix) ** 2 + (shift_offset[1] - iy) ** 2))
+def _tie_order(s: int) -> np.ndarray:
+    """Flat placement indices of an (s, s) plane sorted by (dx^2 + dy^2, iy, ix), read-only."""
+    off = (s - 1) // 2
+    iy, ix = np.indices((s, s)).reshape(2, -1)
+    order = np.lexsort((ix, iy, (off - ix) ** 2 + (off - iy) ** 2))
     order.setflags(write=False)
     return order
 
 
-def peak_displacement(plane: CorrelationPlane, window_index: int = 0) -> Displacement:
-    """Displacement of the correlation maximum.
+def peak_displacement(plane: np.ndarray, window_index: int = 0) -> Displacement:
+    """Displacement of the maximum of an (s, s) correlation plane.
 
-    Equal peaks are resolved by smallest dx^2 + dy^2, then row-major plane
-    order, so a constant plane yields (0, 0) whenever zero displacement is
-    inside the tested range.
+    Zero displacement is the centred placement (s - 1) // 2.  Equal peaks
+    are resolved by smallest dx^2 + dy^2, then row-major plane order, so a
+    constant plane yields (0, 0).
     """
-    values = plane.values
-    order = _tie_order(values.shape, tuple(plane.shift_offset))
-    ranked = values.ravel()[order]
+    if plane.ndim != 2 or plane.size == 0 or plane.shape[0] != plane.shape[1]:
+        raise DimensionError(
+            f"correlation plane must be a non-empty square 2-D array, got shape {plane.shape}"
+        )
+    s = plane.shape[0]
+    order = _tie_order(s)
+    ranked = plane.ravel()[order]
     best = int(ranked.argmax())  # the first maximum in tie order
-    iy, ix = divmod(int(order[best]), values.shape[1])
-    off_x, off_y = plane.shift_offset
+    iy, ix = divmod(int(order[best]), s)
+    off = (s - 1) // 2
     return Displacement(
-        dx=off_x - ix, dy=off_y - iy, peak_value=int(ranked[best]), window_index=window_index
+        dx=off - ix, dy=off - iy, peak_value=int(ranked[best]), window_index=window_index
     )
 
 
@@ -303,12 +283,9 @@ def _split_windows(bits: np.ndarray, grid: WindowGrid) -> np.ndarray:
     )
 
 
-def _threshold(cfg: PivConfig) -> int | None:
-    return cfg.threshold if cfg.binarization == "global" else None
-
-
 def binarize_frame(img: GrayImage, grid: WindowGrid, cfg: PivConfig) -> BinaryImage:
-    return BinaryImage(bits=_binarize(img, grid, _threshold(cfg)))
+    """Binarize a frame as ``cfg.binarization`` says, one threshold per window or one for all."""
+    return BinaryImage(bits=_binarize(img, grid, cfg))
 
 
 def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> VectorField:
@@ -325,9 +302,8 @@ def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> Vecto
     grid = tile_windows(frame1.width, frame1.height, cfg.window_size)
     w, p = cfg.window_size, cfg.pattern_size
     off = pattern_offset(w, p)
-    threshold = _threshold(cfg)
-    search_wins = _split_windows(_binarize(frame1, grid, threshold), grid)
-    pattern_wins = _split_windows(_binarize(frame2, grid, threshold), grid)[:, off : off + p, off : off + p]
+    search_wins = _split_windows(_binarize(frame1, grid, cfg), grid)
+    pattern_wins = _split_windows(_binarize(frame2, grid, cfg), grid)[:, off : off + p, off : off + p]
     search_rows = _pack_window_rows(search_wins)
     pattern_rows = _pack_window_rows(pattern_wins)
 
@@ -335,8 +311,5 @@ def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> Vecto
     for start in range(0, grid.count, _CHUNK):
         stop = start + _CHUNK
         planes = _packed_xcorr_batch(search_rows[start:stop], pattern_rows[start:stop], w, p)
-        vectors += [
-            peak_displacement(CorrelationPlane(values=plane, shift_offset=(off, off)), start + i)
-            for i, plane in enumerate(planes)
-        ]
+        vectors += [peak_displacement(plane, start + i) for i, plane in enumerate(planes)]
     return VectorField(grid=grid, vectors=vectors)

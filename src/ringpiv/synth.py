@@ -27,7 +27,7 @@ class FlowSpec:
       shear    - dx = rate * y, dy = 0
       vortex   - solid-body rotation about ``center`` by angle ``strength``
                  (radians); small angles approximate the usual tangential flow
-    ``delta_t`` is metadata only: displacements are already in pixels.
+    Displacements are in pixels per frame pair.
     """
 
     kind: str
@@ -36,23 +36,22 @@ class FlowSpec:
     rate: float = 0.0
     center: tuple[float, float] = (0.0, 0.0)
     strength: float = 0.0
-    delta_t: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("uniform", "shear", "vortex"):
             raise ConfigError(f"unknown flow kind {self.kind!r}")
 
     @classmethod
-    def uniform(cls, dx: float, dy: float, delta_t: float = 1.0) -> "FlowSpec":
-        return cls(kind="uniform", dx=dx, dy=dy, delta_t=delta_t)
+    def uniform(cls, dx: float, dy: float) -> "FlowSpec":
+        return cls(kind="uniform", dx=dx, dy=dy)
 
     @classmethod
-    def shear(cls, rate: float, delta_t: float = 1.0) -> "FlowSpec":
-        return cls(kind="shear", rate=rate, delta_t=delta_t)
+    def shear(cls, rate: float) -> "FlowSpec":
+        return cls(kind="shear", rate=rate)
 
     @classmethod
-    def vortex(cls, center: tuple[float, float], strength: float, delta_t: float = 1.0) -> "FlowSpec":
-        return cls(kind="vortex", center=center, strength=strength, delta_t=delta_t)
+    def vortex(cls, center: tuple[float, float], strength: float) -> "FlowSpec":
+        return cls(kind="vortex", center=center, strength=strength)
 
     def displacement_at(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """Displacement (ux, uy) at positions (x, y)."""

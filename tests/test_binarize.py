@@ -4,29 +4,34 @@ import pytest
 from ringpiv import (
     DimensionError,
     GrayImage,
-    binarize_adaptive,
-    binarize_global,
+    PivConfig,
     tile_windows,
 )
-from ringpiv.piv import adaptive_thresholds
+from ringpiv.piv import adaptive_thresholds, binarize_frame
+
+
+def binarize_at(img, threshold):
+    """Global binarization of an image tiled by 32-px windows."""
+    grid = tile_windows(img.width, img.height, 32)
+    return binarize_frame(img, grid, PivConfig(binarization="global", threshold=threshold))
 
 
 def test_global_all_zero_below_threshold():
     img = GrayImage.from_array(np.zeros((32, 32), dtype=np.uint16))
-    out = binarize_global(img, 1)
+    out = binarize_at(img, 1)
     assert out.popcount() == 0
 
 
 def test_global_all_max_threshold_zero():
     img = GrayImage.from_array(np.full((32, 32), 1023, dtype=np.uint16))
-    out = binarize_global(img, 0)
+    out = binarize_at(img, 0)
     assert out.popcount() == 32 * 32
 
 
 def test_global_matches_per_pixel_reference():
     rng = np.random.default_rng(42)
     data = rng.integers(0, 1024, size=(256, 320)).astype(np.uint16)
-    out = binarize_global(GrayImage.from_array(data), 512)
+    out = binarize_at(GrayImage.from_array(data), 512)
     # Independent per-pixel oracle on the unpacked result.
     expected = data >= 512
     np.testing.assert_array_equal(out.to_bool(), expected)
@@ -35,14 +40,14 @@ def test_global_matches_per_pixel_reference():
 def test_adaptive_constant_window_all_ones():
     img = GrayImage.from_array(np.full((32, 32), 700, dtype=np.uint16))
     grid = tile_windows(32, 32, 32)
-    assert binarize_adaptive(img, grid).popcount() == 1024
+    assert binarize_frame(img, grid, PivConfig()).popcount() == 1024
 
 
 def test_adaptive_half_split_selects_high_half():
     data = np.zeros((32, 32), dtype=np.uint16)
     data[:16] = 1000
     grid = tile_windows(32, 32, 32)
-    out = binarize_adaptive(GrayImage.from_array(data), grid)
+    out = binarize_frame(GrayImage.from_array(data), grid, PivConfig())
     np.testing.assert_array_equal(out.to_bool(), data == 1000)
 
 
@@ -51,7 +56,7 @@ def test_adaptive_equals_per_window_global_oracle():
     data = rng.integers(0, 1024, size=(128, 160)).astype(np.uint16)
     img = GrayImage.from_array(data)
     grid = tile_windows(160, 128, 32)
-    out = binarize_adaptive(img, grid).to_bool()
+    out = binarize_frame(img, grid, PivConfig()).to_bool()
     # Oracle: apply global binarization window by window with that window's
     # rounded-half-up mean.
     for idx in range(grid.count):
@@ -59,7 +64,7 @@ def test_adaptive_equals_per_window_global_oracle():
         block = data[y0 : y0 + 32, x0 : x0 + 32]
         mean = block.sum() / block.size
         thr = int(np.floor(mean + 0.5))
-        ref = binarize_global(GrayImage.from_array(block), thr).to_bool()
+        ref = binarize_at(GrayImage.from_array(block), thr).to_bool()
         np.testing.assert_array_equal(out[y0 : y0 + 32, x0 : x0 + 32], ref)
 
 
@@ -76,4 +81,4 @@ def test_adaptive_grid_mismatch():
     img = GrayImage.from_array(np.zeros((64, 64), dtype=np.uint16))
     grid = tile_windows(32, 32, 32)
     with pytest.raises(DimensionError):
-        binarize_adaptive(img, grid)
+        binarize_frame(img, grid, PivConfig())

@@ -31,8 +31,8 @@ def test_binary_identical_block_scores_p_squared():
     pattern = BinaryImage.from_bool(bits[8:24, 8:24])
     plane = xcorr_binary(search, pattern)
     # Aligned placement is (iy, ix) = (8, 8): all 256 bits match.
-    assert plane.values[8, 8] == 256
-    assert plane.values.max() == 256
+    assert plane[8, 8] == 256
+    assert plane.max() == 256
 
 
 def test_binary_complement_block_scores_zero():
@@ -41,7 +41,7 @@ def test_binary_complement_block_scores_zero():
     search = BinaryImage.from_bool(bits)
     pattern = BinaryImage.from_bool(~bits[8:24, 8:24])
     plane = xcorr_binary(search, pattern)
-    assert plane.values[8, 8] == 0
+    assert plane[8, 8] == 0
 
 
 def test_binary_matches_per_bit_oracle_32_16():
@@ -49,8 +49,8 @@ def test_binary_matches_per_bit_oracle_32_16():
     bits = rng.random((32, 32)) < 0.5
     pat = rng.random((16, 16)) < 0.5
     plane = xcorr_binary(BinaryImage.from_bool(bits), BinaryImage.from_bool(pat))
-    assert plane.values.shape == (17, 17)
-    np.testing.assert_array_equal(plane.values, binary_xnor_oracle(bits, pat))
+    assert plane.shape == (17, 17)
+    np.testing.assert_array_equal(plane, binary_xnor_oracle(bits, pat))
 
 
 def test_binary_pattern_larger_than_search_rejected():
@@ -72,7 +72,7 @@ def test_binary_oracle_equivalence_property(w, p_frac, seed):
     bits = rng.random((w, w)) < rng.uniform(0.1, 0.9)
     pat = rng.random((p, p)) < rng.uniform(0.1, 0.9)
     plane = xcorr_binary(BinaryImage.from_bool(bits), BinaryImage.from_bool(pat))
-    np.testing.assert_array_equal(plane.values, binary_xnor_oracle(bits, pat))
+    np.testing.assert_array_equal(plane, binary_xnor_oracle(bits, pat))
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,10 +82,10 @@ def test_binary_bound_and_complement_symmetry(seed):
     bits = rng.random((24, 24)) < rng.uniform(0.05, 0.95)
     pat = rng.random((9, 9)) < rng.uniform(0.05, 0.95)
     plane = xcorr_binary(BinaryImage.from_bool(bits), BinaryImage.from_bool(pat))
-    assert plane.values.min() >= 0
-    assert plane.values.max() <= 81
+    assert plane.min() >= 0
+    assert plane.max() <= 81
     comp = xcorr_binary(BinaryImage.from_bool(bits), BinaryImage.from_bool(~pat))
-    np.testing.assert_array_equal(comp.values, 81 - plane.values)
+    np.testing.assert_array_equal(comp, 81 - plane)
 
 
 def test_gray_binary_argmax_consistency_in_balanced_regime():
@@ -106,7 +106,7 @@ def test_gray_binary_argmax_consistency_in_balanced_regime():
         windows = sliding_window_view(bits.astype(np.int64), pat_bits.shape)
         product = np.einsum("ijkl,kl->ij", windows, pat_bits.astype(np.int64))
         b = xcorr_binary(BinaryImage.from_bool(bits), BinaryImage.from_bool(pat_bits))
-        if np.argmax(product) == np.argmax(b.values):
+        if np.argmax(product) == np.argmax(b):
             agree += 1
     assert checked > 10
     assert agree == checked

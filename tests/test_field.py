@@ -15,7 +15,7 @@ from ringpiv import (
     render_pair,
     seed_particles,
 )
-from ringpiv.piv import CorrelationPlane, peak_displacement, xcorr_binary, binarize_frame, tile_windows
+from ringpiv.piv import peak_displacement, xcorr_binary, binarize_frame, tile_windows
 from ringpiv.images import BinaryImage
 
 
@@ -83,6 +83,21 @@ def test_config_rejects_non_integer_sizes_and_thresholds(kwargs):
         PivConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"threshold": 5000}, "adaptive binarization takes no threshold"),
+        ({"binarization": "adaptive", "threshold": 0}, "adaptive binarization takes no threshold"),
+        ({"binarization": "global"}, "requires a threshold"),
+        ({"binarization": "global", "threshold": 1024}, "outside 0..1023"),
+    ],
+    ids=["adaptive-5000", "adaptive-0", "global-none", "global-1024"],
+)
+def test_config_rejects_a_threshold_that_does_not_fit_the_mode(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        PivConfig(**kwargs)
+
+
 def test_config_stores_numpy_integers_as_int():
     cfg = PivConfig(
         window_size=np.int64(32), pattern_size=np.int32(16), binarization="global", threshold=np.uint16(500)
@@ -110,7 +125,7 @@ def per_window_vectors(f1, f2, cfg):
         plane = xcorr_binary(search, pattern)
         bits = pattern.to_bool()
         xnor = (sliding_window_view(search.to_bool(), bits.shape) == bits).sum(axis=(2, 3))
-        np.testing.assert_array_equal(plane.values, xnor)
+        np.testing.assert_array_equal(plane, xnor)
         d = peak_displacement(plane, idx)
         vectors.append((d.dx, d.dy, d.peak_value, d.window_index))
     return vectors

@@ -25,12 +25,31 @@ def test_gray_rejects_non_integer_and_negative(values, message):
     with pytest.raises(InputFormatError, match=message):
         GrayImage.from_array(data)
     with pytest.raises(InputFormatError, match=message):
-        GrayImage(width=2, height=1, data=data)
+        GrayImage(data=data)
 
 
-def test_gray_shape_mismatch():
-    with pytest.raises(DimensionError):
-        GrayImage(width=4, height=4, data=np.zeros((4, 5), dtype=np.uint16))
+def test_gray_rejects_non_2d_and_empty():
+    with pytest.raises(DimensionError, match="non-empty 2-D"):
+        GrayImage(data=np.zeros(16, dtype=np.uint16))
+    with pytest.raises(DimensionError, match="non-empty 2-D"):
+        GrayImage(data=np.zeros((0, 4), dtype=np.uint16))
+    img = GrayImage(data=np.zeros((3, 5), dtype=np.uint16))
+    assert (img.width, img.height) == (5, 3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GrayImage.from_array(np.arange(6).reshape(2, 3)),
+        lambda: BinaryImage.from_bool(np.eye(3, dtype=bool)),
+    ],
+    ids=["GrayImage", "BinaryImage"],
+)
+def test_images_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a
+    assert (a == b) is False and a != b
+    assert len({a, b}) == 2
 
 
 def test_binary_roundtrip_random():

@@ -1,23 +1,20 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringpiv import (
     BinaryImage,
-    CorrelationPlane,
+    DimensionError,
     peak_displacement,
     xcorr_binary,
 )
 
 
-def make_plane(values, offset=(8, 8)):
-    return CorrelationPlane(values=np.asarray(values, dtype=np.int64), shift_offset=offset)
-
-
 def test_peak_at_zero_shift():
     v = np.zeros((17, 17), dtype=np.int64)
     v[8, 8] = 10
-    d = peak_displacement(make_plane(v))
+    d = peak_displacement(v)
     assert (d.dx, d.dy, d.peak_value) == (0, 0, 10)
 
 
@@ -25,13 +22,13 @@ def test_peak_coordinate_convention():
     # Placement index (iy, ix) = (11, 6) means dx = 8-6 = +2, dy = 8-11 = -3.
     v = np.zeros((17, 17), dtype=np.int64)
     v[11, 6] = 5
-    d = peak_displacement(make_plane(v))
+    d = peak_displacement(v)
     assert (d.dx, d.dy) == (2, -3)
 
 
 def test_constant_plane_tie_breaks_to_zero():
     v = np.full((17, 17), 7, dtype=np.int64)
-    d = peak_displacement(make_plane(v))
+    d = peak_displacement(v)
     assert (d.dx, d.dy) == (0, 0)
     assert d.peak_value == 7
 
@@ -40,12 +37,12 @@ def test_tie_break_prefers_smaller_magnitude_then_row_major():
     v = np.zeros((17, 17), dtype=np.int64)
     v[8, 10] = 9  # dx = -2
     v[8, 7] = 9   # dx = +1 -> smaller magnitude wins
-    assert peak_displacement(make_plane(v)).dx == 1
+    assert peak_displacement(v).dx == 1
     # Equal magnitudes: row-major plane order decides (smaller iy, then ix).
     v2 = np.zeros((17, 17), dtype=np.int64)
     v2[7, 8] = 9   # dy = +1
     v2[9, 8] = 9   # dy = -1
-    assert peak_displacement(make_plane(v2)).dy == 1
+    assert peak_displacement(v2).dy == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,21 +79,27 @@ def lexsort_peak(values, offset):
     """Reference tie-break: every maximum, sorted by (dx^2 + dy^2, iy, ix)."""
     peak = values.max()
     ties_y, ties_x = np.nonzero(values == peak)
-    dx = offset[0] - ties_x
-    dy = offset[1] - ties_y
+    dx = offset - ties_x
+    dy = offset - ties_y
     best = np.lexsort((ties_x, ties_y, dx * dx + dy * dy))[0]
     return int(dx[best]), int(dy[best]), int(peak)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    shape=st.tuples(st.integers(1, 20), st.integers(1, 20)),
-    offset=st.tuples(st.integers(-25, 45), st.integers(-25, 45)),
-    seed=st.integers(min_value=0, max_value=2**31),
+@given(s=st.integers(1, 64), seed=st.integers(min_value=0, max_value=2**31))
+@example(s=1, seed=0)  # one placement
+@example(s=2, seed=1)  # even size: zero displacement at (0, 0), off the middle
+def test_peak_matches_lexsort_reference_on_tie_heavy_planes(s, seed):
+    values = np.random.default_rng(seed).integers(0, 3, size=(s, s))
+    d = peak_displacement(values)
+    assert (d.dx, d.dy, d.peak_value) == lexsort_peak(values, (s - 1) // 2)
+
+
+@pytest.mark.parametrize(
+    "plane",
+    [np.ones(17), np.ones((17, 16)), np.ones((0, 0))],
+    ids=["1-D", "non-square", "empty"],
 )
-@example(shape=(3, 11), offset=(5, 1), seed=0)
-@example(shape=(9, 4), offset=(-6, 30), seed=1)
-def test_peak_matches_lexsort_reference_on_tie_heavy_planes(shape, offset, seed):
-    values = np.random.default_rng(seed).integers(0, 3, size=shape)
-    d = peak_displacement(make_plane(values, offset))
-    assert (d.dx, d.dy, d.peak_value) == lexsort_peak(values, offset)
+def test_peak_rejects_1d_non_square_and_empty_planes(plane):
+    with pytest.raises(DimensionError, match="non-empty square 2-D"):
+        peak_displacement(plane)
