@@ -20,7 +20,9 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     """(..., w) bool with w <= 64 -> (...) uint64 row words, bit x = column x."""
     padded = np.zeros(bits.shape[:-1] + (64,), dtype=bool)
     padded[..., : bits.shape[-1]] = bits
-    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")[..., 0]
+    # Each padded row is one word of the flat bit run, and one long packbits
+    # run is far faster than many 64-bool rows along an axis.
+    return np.packbits(padded, bitorder="little").view("<u8").reshape(bits.shape[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,14 +39,14 @@ class GrayImage:
             raise DimensionError(f"expected a non-empty 2-D array, got shape {self.data.shape}")
         if not np.issubdtype(self.data.dtype, np.integer):
             raise InputFormatError(f"intensities must be integers, got dtype {self.data.dtype}")
-        if int(self.data.min()) < 0:
+        if np.issubdtype(self.data.dtype, np.signedinteger) and int(self.data.min()) < 0:
             raise InputFormatError(f"intensity {int(self.data.min())} is negative")
         if int(self.data.max()) > MAX_INTENSITY:
             raise DimensionError(
                 f"intensity {int(self.data.max())} exceeds 10-bit maximum {MAX_INTENSITY}"
             )
-        if self.data.dtype != np.uint16:
-            object.__setattr__(self, "data", self.data.astype(np.uint16))
+        # Its own copy, so the caller's array stays writable and cannot change the image.
+        object.__setattr__(self, "data", np.array(self.data, dtype=np.uint16))
         self.data.setflags(write=False)
 
     @property
@@ -58,7 +60,7 @@ class GrayImage:
     @classmethod
     def from_array(cls, arr) -> "GrayImage":
         """Copy a 2-D integer array."""
-        return cls(data=np.array(arr))
+        return cls(data=np.asarray(arr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +77,8 @@ class BinaryImage:
             raise DimensionError(
                 f"expected a non-empty 2-D bool array, got {self.bits.dtype} of shape {self.bits.shape}"
             )
+        # Its own copy, so the caller's array stays writable and cannot change the image.
+        object.__setattr__(self, "bits", np.array(self.bits, dtype=bool))
         self.bits.setflags(write=False)
 
     @property
@@ -88,7 +92,7 @@ class BinaryImage:
     @classmethod
     def from_bool(cls, arr) -> "BinaryImage":
         """Copy a 2-D boolean array."""
-        return cls(bits=np.array(arr, dtype=bool))
+        return cls(bits=np.asarray(arr, dtype=bool))
 
     def to_bool(self) -> np.ndarray:
         """The read-only (height, width) bool array."""
@@ -98,7 +102,7 @@ class BinaryImage:
         return int(np.count_nonzero(self.bits))
 
     def window(self, x0: int, y0: int, size: int) -> "BinaryImage":
-        """Square sub-region, sharing this image's pixels."""
+        """Square sub-region, copied."""
         if x0 < 0 or y0 < 0 or x0 + size > self.width or y0 + size > self.height:
             raise DimensionError(
                 f"window {size}x{size} at ({x0},{y0}) exceeds image {self.width}x{self.height}"

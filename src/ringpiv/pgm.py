@@ -59,7 +59,7 @@ def read_pgm(path) -> GrayImage:
         raise InputFormatError(
             f"PGM raster truncated: expected {need} bytes, got {len(raster)}"
         )
-    data = np.frombuffer(raster, dtype=dtype).reshape(height, width).astype(np.uint16)
+    data = np.frombuffer(raster, dtype=dtype).reshape(height, width)  # GrayImage copies it
     top = int(data.max(initial=0))
     if top > maxval:
         raise InputFormatError(f"pixel value {top} exceeds the header maxval {maxval}")

@@ -18,20 +18,29 @@ raster coordinates (positive dx rightward, positive dy downward).
 
 Hot path
 --------
-Each window row is one uint64 row word: bit x is column x, upper bits zero,
-one format for every w <= 64.  The correlator packs k = min(64 // p, p)
-consecutive pattern rows into one word, row j of a group in bits
-[j*p, j*p + p), so a placement takes ceil(p / k) XOR + popcounts instead of
-p (k = 1 for p > 32).
-The search word of each (start row, ix) is built once and shared by every
-group and iy starting there; a last group of fewer than k rows is masked to
-its lanes.  Windows are correlated 256 at a time, which bounds the
-intermediates (under 3 MiB at 32/16) whatever the frame size and still
-shares each numpy call among 256 windows; one 4096-window batch of a
-2048x2048 frame ran about 2x slower.  The peak reads the plane in an order
-sorted by (dx^2 + dy^2, iy, ix), cached per plane size s; argmax
-returns the first of equal maxima, which in that order is the tie-break
-winner.
+Each frame is binarized to one (H, W) bool array; ``_split_windows`` views
+it as (rows, cols, ws, ws) windows without a copy, and the centred pattern
+is a slice of that view.  ``_pack_rows`` copies each window row into a
+64-bool slot and packs all of them in one flat ``np.packbits`` run, so
+each window row becomes one uint64 row word: bit x is column x, upper bits
+zero, one format for every w <= 64.  The correlator packs
+k = min(64 // p, p) consecutive pattern rows into one word, row j of a
+group in bits [j*p, j*p + p), so a placement takes ceil(p / k) XOR +
+popcounts instead of p (k = 1 for p > 32).  The search word of each
+(start row, ix) is built once and shared by every group and iy starting
+there; only a partial last group (fewer than k rows) is masked to its lanes.
+Windows are correlated 64 at a time.  Correlate time per window by chunk
+size (us, one thread, 2-CPU Intel Xeon):
+
+    windows per chunk    32     64     96    128    256
+    2048x2048, 32/16    7.7    6.3    5.7    6.4    7.6
+    1280x1024, 64/48   41.4   36.6   36.0   35.8   40.8
+
+64 to 128 are level within the noise; 64 keeps the intermediates smallest
+(under 1 MiB at 32/16), bounded whatever the frame size.  The peak reads
+the plane in an order sorted by (dx^2 + dy^2, iy, ix), cached per plane
+size s; argmax returns the first of equal maxima, which in that order is
+the tie-break winner.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from .images import BinaryImage, GrayImage
 from .images import _pack_rows as _pack_window_rows
 
 _WORD = np.uint64
-_CHUNK = 256  # windows per correlate call
+_CHUNK = 64  # windows per correlate call
 
 
 @dataclass(frozen=True)
@@ -163,11 +172,14 @@ def _binarize(img: GrayImage, grid: WindowGrid, cfg: PivConfig) -> np.ndarray:
 
 
 def _window_sums(data: np.ndarray, ws: int) -> np.ndarray:
+    # Whole rows first, then runs of ws columns.  A column sum of a window
+    # is at most ws * 1023, inside uint32 for any ws below 4 million.
     h, w = data.shape
     return (
-        data.reshape(h // ws, ws, w // ws, ws)
-        .sum(axis=3, dtype=np.int64)
-        .sum(axis=1)
+        data.reshape(h // ws, ws, w)
+        .sum(axis=1, dtype=np.uint32)
+        .reshape(h // ws, w // ws, ws)
+        .sum(axis=2, dtype=np.int64)
     )
 
 
@@ -214,13 +226,17 @@ def _packed_xcorr_batch(
         search_words |= sliced[:, j : j + starts] << lanes[j]
     diff = np.zeros((n, s, s), dtype=np.uint16)  # at most p * p <= 4096
     xor = np.empty((n, s, s), dtype=_WORD)
+    count = np.empty((n, s, s), dtype=np.uint8)
     for g in range(groups):
         np.bitwise_xor(search_words[:, g * k : g * k + s], pattern_words[:, g, None, None], out=xor)
-        # A partial last group compares only the pattern's rows: the lanes
-        # above them hold search rows below the placement.
-        xor &= _WORD((1 << min(k, p - g * k) * p) - 1)
-        diff += np.bitwise_count(xor)
-    return p * p - diff.astype(np.int64)
+        if pad and g == groups - 1:
+            # A partial last group compares only the pattern's rows: the
+            # lanes above them hold search rows below the placement.
+            xor &= _WORD((1 << (k - pad) * p) - 1)
+        diff += np.bitwise_count(xor, out=count)
+    planes = np.full((n, s, s), p * p, dtype=np.int64)
+    planes -= diff
+    return planes
 
 
 def xcorr_binary(search: BinaryImage, pattern: BinaryImage) -> np.ndarray:
@@ -274,13 +290,9 @@ def peak_displacement(plane: np.ndarray, window_index: int = 0) -> Displacement:
 
 
 def _split_windows(bits: np.ndarray, grid: WindowGrid) -> np.ndarray:
-    """(H, W) bool -> (count, ws, ws) bool in row-major window order."""
+    """(H, W) bool -> (rows, cols, ws, ws) view, indexed (window row, window col, y, x)."""
     ws = grid.window_size
-    return (
-        bits.reshape(grid.rows, ws, grid.cols, ws)
-        .transpose(0, 2, 1, 3)
-        .reshape(grid.count, ws, ws)
-    )
+    return bits.reshape(grid.rows, ws, grid.cols, ws).transpose(0, 2, 1, 3)
 
 
 def binarize_frame(img: GrayImage, grid: WindowGrid, cfg: PivConfig) -> BinaryImage:
@@ -303,9 +315,9 @@ def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> Vecto
     w, p = cfg.window_size, cfg.pattern_size
     off = pattern_offset(w, p)
     search_wins = _split_windows(_binarize(frame1, grid, cfg), grid)
-    pattern_wins = _split_windows(_binarize(frame2, grid, cfg), grid)[:, off : off + p, off : off + p]
-    search_rows = _pack_window_rows(search_wins)
-    pattern_rows = _pack_window_rows(pattern_wins)
+    pattern_wins = _split_windows(_binarize(frame2, grid, cfg), grid)[..., off : off + p, off : off + p]
+    search_rows = _pack_window_rows(search_wins).reshape(grid.count, w)
+    pattern_rows = _pack_window_rows(pattern_wins).reshape(grid.count, p)
 
     vectors = []
     for start in range(0, grid.count, _CHUNK):

@@ -82,3 +82,24 @@ def test_adaptive_grid_mismatch():
     grid = tile_windows(32, 32, 32)
     with pytest.raises(DimensionError):
         binarize_frame(img, grid, PivConfig())
+
+
+@pytest.mark.parametrize("ws", [1, 8, 33, 64])
+def test_adaptive_thresholds_equal_an_int64_reference(ws):
+    rng = np.random.default_rng(ws)
+    rows, cols = 3, 2
+    data = rng.integers(0, 1024, size=(rows * ws, cols * ws))
+    img = GrayImage.from_array(data)
+    sums = data.astype(np.int64).reshape(rows, ws, cols, ws).sum(axis=(1, 3))
+    area = ws * ws
+    expected = (2 * sums + area) // (2 * area)
+    np.testing.assert_array_equal(adaptive_thresholds(img, tile_windows(cols * ws, rows * ws, ws)), expected)
+
+
+@pytest.mark.parametrize("ws", [64, 65])
+def test_adaptive_thresholds_of_a_saturated_frame(ws):
+    # A window column of ws pixels at 1023 sums to 65472 at ws = 64, the
+    # largest window a PivConfig allows, and overflows uint16 at ws = 65.
+    img = GrayImage.from_array(np.full((2 * ws, 2 * ws), 1023, dtype=np.uint16))
+    thr = adaptive_thresholds(img, tile_windows(2 * ws, 2 * ws, ws))
+    np.testing.assert_array_equal(thr, np.full((2, 2), 1023))

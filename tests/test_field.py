@@ -15,6 +15,7 @@ from ringpiv import (
     render_pair,
     seed_particles,
 )
+from ringpiv import piv
 from ringpiv.piv import peak_displacement, xcorr_binary, binarize_frame, tile_windows
 from ringpiv.images import BinaryImage
 
@@ -165,6 +166,21 @@ def test_field_matches_per_window_path_over_random_geometry(sizes, tiles, binari
     threshold = int(rng.integers(0, 1024)) if binarization == "global" else None
     cfg = PivConfig(window_size=w, pattern_size=p, binarization=binarization, threshold=threshold)
     out = compute_field(f1, f2, cfg)
+    got = [(v.dx, v.dy, v.peak_value, v.window_index) for v in out.vectors]
+    assert got == per_window_vectors(f1, f2, cfg)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["one-short", "exact", "one-over"])
+def test_field_matches_per_window_path_at_the_chunk_boundary(extra):
+    # One window short of a full chunk, one full chunk, a full chunk and one window.
+    count = piv._CHUNK + extra
+    rng = np.random.default_rng(count)
+    a = rng.integers(0, 1024, size=(8, 8 * count))
+    b = np.roll(a, (1, -2), axis=(0, 1))
+    f1, f2 = GrayImage.from_array(a), GrayImage.from_array(b)
+    cfg = PivConfig(window_size=8, pattern_size=5)
+    out = compute_field(f1, f2, cfg)
+    assert out.grid.count == count
     got = [(v.dx, v.dy, v.peak_value, v.window_index) for v in out.vectors]
     assert got == per_window_vectors(f1, f2, cfg)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ringpiv import BinaryImage, DimensionError, GrayImage, InputFormatError
+from ringpiv.images import _pack_rows
 
 
 def test_gray_rejects_out_of_range():
@@ -100,3 +101,42 @@ def test_packed_rows_bit_assignment():
     rows = BinaryImage.from_bool(bits).packed_rows()
     assert rows[0] == (1 | 1 << 7)
     assert rows[1] == 1 << 3
+
+
+@pytest.mark.parametrize(
+    "make, field, dtype",
+    [
+        (lambda a: GrayImage(data=a), "data", np.uint16),
+        (lambda a: BinaryImage(bits=a), "bits", bool),
+    ],
+    ids=["GrayImage", "BinaryImage"],
+)
+def test_constructors_leave_the_callers_array_writable(make, field, dtype):
+    arr = np.zeros((2, 2), dtype=dtype)
+    img = make(arr)
+    arr[0, 0] = 1
+    assert not getattr(img, field).any()
+    with pytest.raises(ValueError):
+        getattr(img, field)[0, 0] = 1
+
+
+def reference_row_words(bits):
+    """Per-bit reference: sum of bit x << x over each row."""
+    w = bits.shape[-1]
+    return (bits.astype(np.uint64) << np.arange(w, dtype=np.uint64)).sum(axis=-1)
+
+
+def test_pack_rows_equals_per_bit_reference():
+    rng = np.random.default_rng(11)
+    for w in range(1, 65):
+        bits = rng.random((5, w)) < 0.5
+        np.testing.assert_array_equal(_pack_rows(bits), reference_row_words(bits), f"w={w}")
+        # The strided views compute_field packs: the (rows, cols, w, w)
+        # windows of a frame and the centred pattern slice of them.
+        frame = rng.random((2 * w, 3 * w)) < 0.5
+        windows = frame.reshape(2, w, 3, w).transpose(0, 2, 1, 3)
+        np.testing.assert_array_equal(_pack_rows(windows), reference_row_words(windows), f"w={w}")
+        p = max(1, w // 2)
+        off = (w - p) // 2
+        pattern = windows[..., off : off + p, off : off + p]
+        np.testing.assert_array_equal(_pack_rows(pattern), reference_row_words(pattern), f"w={w}")
