@@ -1,8 +1,6 @@
 """Image containers: 10-bit grayscale rasters and binary rasters.
 
-A BinaryImage is a read-only 2-D bool raster, one byte per pixel.  The one
-packed format is ``_pack_rows``' uint64 row word: bit x of a row's word is
-column x, for rows of at most 64 pixels.
+A BinaryImage is a read-only 2-D bool raster, one byte per pixel.
 """
 
 from __future__ import annotations
@@ -14,15 +12,6 @@ import numpy as np
 from .errors import DimensionError, InputFormatError
 
 MAX_INTENSITY = 1023  # 10-bit sensor ceiling
-
-
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """(..., w) bool with w <= 64 -> (...) uint64 row words, bit x = column x."""
-    padded = np.zeros(bits.shape[:-1] + (64,), dtype=bool)
-    padded[..., : bits.shape[-1]] = bits
-    # Each padded row is one word of the flat bit run, and one long packbits
-    # run is far faster than many 64-bool rows along an axis.
-    return np.packbits(padded, bitorder="little").view("<u8").reshape(bits.shape[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +31,7 @@ class GrayImage:
         if np.issubdtype(self.data.dtype, np.signedinteger) and int(self.data.min()) < 0:
             raise InputFormatError(f"intensity {int(self.data.min())} is negative")
         if int(self.data.max()) > MAX_INTENSITY:
-            raise DimensionError(
+            raise InputFormatError(
                 f"intensity {int(self.data.max())} exceeds 10-bit maximum {MAX_INTENSITY}"
             )
         # Its own copy, so the caller's array stays writable and cannot change the image.
@@ -97,20 +86,3 @@ class BinaryImage:
     def to_bool(self) -> np.ndarray:
         """The read-only (height, width) bool array."""
         return self.bits
-
-    def popcount(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
-    def window(self, x0: int, y0: int, size: int) -> "BinaryImage":
-        """Square sub-region, copied."""
-        if x0 < 0 or y0 < 0 or x0 + size > self.width or y0 + size > self.height:
-            raise DimensionError(
-                f"window {size}x{size} at ({x0},{y0}) exceeds image {self.width}x{self.height}"
-            )
-        return BinaryImage(bits=self.bits[y0 : y0 + size, x0 : x0 + size])
-
-    def packed_rows(self) -> np.ndarray:
-        """Rows as uint64 values, bit x of row y = pixel (x, y). Requires width <= 64."""
-        if self.width > 64:
-            raise DimensionError(f"packed_rows supports width <= 64, got {self.width}")
-        return _pack_rows(self.bits)

@@ -60,11 +60,9 @@ def read_pgm(path) -> GrayImage:
             f"PGM raster truncated: expected {need} bytes, got {len(raster)}"
         )
     data = np.frombuffer(raster, dtype=dtype).reshape(height, width)  # GrayImage copies it
-    top = int(data.max(initial=0))
-    if top > maxval:
-        raise InputFormatError(f"pixel value {top} exceeds the header maxval {maxval}")
-    if top > MAX_INTENSITY:
-        raise InputFormatError(f"pixel value {top} exceeds the 10-bit maximum {MAX_INTENSITY}")
+    # GrayImage rejects any pixel above 1023, so only a lower maxval needs a pass of its own.
+    if maxval < MAX_INTENSITY and int(data.max()) > maxval:
+        raise InputFormatError(f"pixel value {int(data.max())} exceeds the header maxval {maxval}")
     return GrayImage(data=data)
 
 

@@ -18,9 +18,10 @@ raster coordinates (positive dx rightward, positive dy downward).
 
 Hot path
 --------
-Each frame is binarized to one (H, W) bool array; ``_split_windows`` views
-it as (rows, cols, ws, ws) windows without a copy, and the centred pattern
-is a slice of that view.  ``_pack_rows`` copies each window row into a
+Each frame is binarized by ``binarize_frame`` to one (H, W) bool array;
+``_split_windows`` views it as (rows, cols, ws, ws) windows without a
+copy, and the centred pattern is a slice of that view.
+``_pack_window_rows`` is the one packer: it copies each window row into a
 64-bool slot and packs all of them in one flat ``np.packbits`` run, so
 each window row becomes one uint64 row word: bit x is column x, upper bits
 zero, one format for every w <= 64.  The correlator packs
@@ -53,7 +54,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .images import BinaryImage, GrayImage
-from .images import _pack_rows as _pack_window_rows
 
 _WORD = np.uint64
 _CHUNK = 64  # windows per correlate call
@@ -70,12 +70,6 @@ class WindowGrid:
     @property
     def count(self) -> int:
         return self.cols * self.rows
-
-    @property
-    def origins(self) -> list[tuple[int, int]]:
-        """Top-left corner (x0, y0) of each window, row-major."""
-        ws = self.window_size
-        return [(wx * ws, wy * ws) for wy in range(self.rows) for wx in range(self.cols)]
 
     def origin(self, index: int) -> tuple[int, int]:
         wy, wx = divmod(index, self.cols)
@@ -161,43 +155,38 @@ class VectorField:
             )
 
 
-def _binarize(img: GrayImage, grid: WindowGrid, cfg: PivConfig) -> np.ndarray:
-    """(H, W) bool: pixel >= cfg.threshold ("global") or >= its window's mean ("adaptive")."""
-    if cfg.binarization == "global":
-        return img.data >= cfg.threshold
-    ws = grid.window_size
-    thr = adaptive_thresholds(img, grid).astype(np.uint16)
-    blocks = img.data.reshape(grid.rows, ws, grid.cols, ws)
-    return (blocks >= thr[:, None, :, None]).reshape(img.height, img.width)
-
-
-def _window_sums(data: np.ndarray, ws: int) -> np.ndarray:
+def adaptive_thresholds(img: GrayImage, window_size: int) -> np.ndarray:
+    """Mean intensity of each window_size tile, rounded half up; (rows, cols) int64."""
+    grid = tile_windows(img.width, img.height, window_size)
+    ws = window_size
     # Whole rows first, then runs of ws columns.  A column sum of a window
     # is at most ws * 1023, inside uint32 for any ws below 4 million.
-    h, w = data.shape
-    return (
-        data.reshape(h // ws, ws, w)
+    sums = (
+        img.data.reshape(grid.rows, ws, grid.cols, ws)
         .sum(axis=1, dtype=np.uint32)
-        .reshape(h // ws, w // ws, ws)
         .sum(axis=2, dtype=np.int64)
     )
-
-
-def adaptive_thresholds(img: GrayImage, grid: WindowGrid) -> np.ndarray:
-    """Per-window mean intensity, rounded half up."""
-    ws = grid.window_size
-    if grid.cols * ws != img.width or grid.rows * ws != img.height:
-        raise DimensionError(
-            f"grid {grid.cols}x{grid.rows} of {ws}px windows does not tile {img.width}x{img.height}"
-        )
-    sums = _window_sums(img.data, ws)
     area = ws * ws
     return (2 * sums + area) // (2 * area)
 
 
-def pattern_offset(window_size: int, pattern_size: int) -> int:
-    """Top-left offset of the centered pattern inside its window."""
-    return (window_size - pattern_size) // 2
+def binarize_frame(img: GrayImage, cfg: PivConfig) -> np.ndarray:
+    """(H, W) bool: pixel >= cfg.threshold ("global") or >= its window's mean ("adaptive")."""
+    if cfg.binarization == "global":
+        return img.data >= cfg.threshold
+    ws = cfg.window_size
+    thr = adaptive_thresholds(img, ws).astype(np.uint16)
+    blocks = img.data.reshape(thr.shape[0], ws, thr.shape[1], ws)
+    return (blocks >= thr[:, None, :, None]).reshape(img.height, img.width)
+
+
+def _pack_window_rows(bits: np.ndarray) -> np.ndarray:
+    """(..., w) bool with w <= 64 -> (...) uint64 row words, bit x = column x."""
+    padded = np.zeros(bits.shape[:-1] + (64,), dtype=bool)
+    padded[..., : bits.shape[-1]] = bits
+    # Each padded row is one word of the flat bit run, and one long packbits
+    # run is far faster than many 64-bool rows along an axis.
+    return np.packbits(padded, bitorder="little").view("<u8").reshape(bits.shape[:-1])
 
 
 def _packed_xcorr_batch(
@@ -252,9 +241,11 @@ def xcorr_binary(search: BinaryImage, pattern: BinaryImage) -> np.ndarray:
         raise ConfigError(
             f"pattern {pattern.width} larger than search window {search.width}"
         )
-    return _packed_xcorr_batch(
-        search.packed_rows()[None], pattern.packed_rows()[None], search.width, pattern.width
-    )[0]
+    if search.width > 64:
+        raise DimensionError(f"search window {search.width} is wider than a 64-bit row word")
+    search_rows = _pack_window_rows(search.bits)[None]
+    pattern_rows = _pack_window_rows(pattern.bits)[None]
+    return _packed_xcorr_batch(search_rows, pattern_rows, search.width, pattern.width)[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -295,11 +286,6 @@ def _split_windows(bits: np.ndarray, grid: WindowGrid) -> np.ndarray:
     return bits.reshape(grid.rows, ws, grid.cols, ws).transpose(0, 2, 1, 3)
 
 
-def binarize_frame(img: GrayImage, grid: WindowGrid, cfg: PivConfig) -> BinaryImage:
-    """Binarize a frame as ``cfg.binarization`` says, one threshold per window or one for all."""
-    return BinaryImage(bits=_binarize(img, grid, cfg))
-
-
 def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> VectorField:
     """Full-field PIV: one displacement per interrogation window.
 
@@ -313,9 +299,9 @@ def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> Vecto
         )
     grid = tile_windows(frame1.width, frame1.height, cfg.window_size)
     w, p = cfg.window_size, cfg.pattern_size
-    off = pattern_offset(w, p)
-    search_wins = _split_windows(_binarize(frame1, grid, cfg), grid)
-    pattern_wins = _split_windows(_binarize(frame2, grid, cfg), grid)[..., off : off + p, off : off + p]
+    off = (w - p) // 2  # the centred pattern's top-left inside its window
+    search_wins = _split_windows(binarize_frame(frame1, cfg), grid)
+    pattern_wins = _split_windows(binarize_frame(frame2, cfg), grid)[..., off : off + p, off : off + p]
     search_rows = _pack_window_rows(search_wins).reshape(grid.count, w)
     pattern_rows = _pack_window_rows(pattern_wins).reshape(grid.count, p)
 

@@ -8,7 +8,7 @@ given (seed, flow, config) triple always produces bit-identical frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .errors import ConfigError
 from .images import MAX_INTENSITY, GrayImage
 
 _NOISE_SEED_SALT = 0x5EED_0F_0123
+_FLOW_FIELDS = {"uniform": ("dx", "dy"), "shear": ("rate",), "vortex": ("center", "strength")}
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,8 @@ class FlowSpec:
       shear    - dx = rate * y, dy = 0
       vortex   - solid-body rotation about ``center`` by angle ``strength``
                  (radians); small angles approximate the usual tangential flow
-    Displacements are in pixels per frame pair.
+    Displacements are in pixels per frame pair.  A field the kind does not
+    read must keep its default.
     """
 
     kind: str
@@ -38,8 +40,13 @@ class FlowSpec:
     strength: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "shear", "vortex"):
+        if self.kind not in _FLOW_FIELDS:
             raise ConfigError(f"unknown flow kind {self.kind!r}")
+        used = ("kind", *_FLOW_FIELDS[self.kind])
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in used and not np.array_equal(value, f.default):
+                raise ConfigError(f"{self.kind} flow does not use {f.name}, got {value!r}")
 
     @classmethod
     def uniform(cls, dx: float, dy: float) -> "FlowSpec":
@@ -74,6 +81,8 @@ class ParticleField:
     seed: int
 
     def __post_init__(self):
+        # Its own read-only copy, so the caller's array stays writable and cannot change the field.
+        object.__setattr__(self, "positions", np.array(self.positions, dtype=float))
         self.positions.setflags(write=False)
 
     @property

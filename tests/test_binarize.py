@@ -11,21 +11,20 @@ from ringpiv.piv import adaptive_thresholds, binarize_frame
 
 
 def binarize_at(img, threshold):
-    """Global binarization of an image tiled by 32-px windows."""
-    grid = tile_windows(img.width, img.height, 32)
-    return binarize_frame(img, grid, PivConfig(binarization="global", threshold=threshold))
+    """Global binarization at one threshold."""
+    return binarize_frame(img, PivConfig(binarization="global", threshold=threshold))
 
 
 def test_global_all_zero_below_threshold():
     img = GrayImage.from_array(np.zeros((32, 32), dtype=np.uint16))
     out = binarize_at(img, 1)
-    assert out.popcount() == 0
+    assert np.count_nonzero(out) == 0
 
 
 def test_global_all_max_threshold_zero():
     img = GrayImage.from_array(np.full((32, 32), 1023, dtype=np.uint16))
     out = binarize_at(img, 0)
-    assert out.popcount() == 32 * 32
+    assert np.count_nonzero(out) == 32 * 32
 
 
 def test_global_matches_per_pixel_reference():
@@ -34,21 +33,19 @@ def test_global_matches_per_pixel_reference():
     out = binarize_at(GrayImage.from_array(data), 512)
     # Independent per-pixel oracle on the unpacked result.
     expected = data >= 512
-    np.testing.assert_array_equal(out.to_bool(), expected)
+    np.testing.assert_array_equal(out, expected)
 
 
 def test_adaptive_constant_window_all_ones():
     img = GrayImage.from_array(np.full((32, 32), 700, dtype=np.uint16))
-    grid = tile_windows(32, 32, 32)
-    assert binarize_frame(img, grid, PivConfig()).popcount() == 1024
+    assert np.count_nonzero(binarize_frame(img, PivConfig())) == 1024
 
 
 def test_adaptive_half_split_selects_high_half():
     data = np.zeros((32, 32), dtype=np.uint16)
     data[:16] = 1000
-    grid = tile_windows(32, 32, 32)
-    out = binarize_frame(GrayImage.from_array(data), grid, PivConfig())
-    np.testing.assert_array_equal(out.to_bool(), data == 1000)
+    out = binarize_frame(GrayImage.from_array(data), PivConfig())
+    np.testing.assert_array_equal(out, data == 1000)
 
 
 def test_adaptive_equals_per_window_global_oracle():
@@ -56,7 +53,7 @@ def test_adaptive_equals_per_window_global_oracle():
     data = rng.integers(0, 1024, size=(128, 160)).astype(np.uint16)
     img = GrayImage.from_array(data)
     grid = tile_windows(160, 128, 32)
-    out = binarize_frame(img, grid, PivConfig()).to_bool()
+    out = binarize_frame(img, PivConfig())
     # Oracle: apply global binarization window by window with that window's
     # rounded-half-up mean.
     for idx in range(grid.count):
@@ -64,24 +61,23 @@ def test_adaptive_equals_per_window_global_oracle():
         block = data[y0 : y0 + 32, x0 : x0 + 32]
         mean = block.sum() / block.size
         thr = int(np.floor(mean + 0.5))
-        ref = binarize_at(GrayImage.from_array(block), thr).to_bool()
+        ref = binarize_at(GrayImage.from_array(block), thr)
         np.testing.assert_array_equal(out[y0 : y0 + 32, x0 : x0 + 32], ref)
 
 
 def test_adaptive_threshold_rounds_half_up():
     # 2x2 window with sum 2001 -> mean 500.25 -> 500; sum 2002 -> 500.5 -> 501.
-    grid = tile_windows(2, 2, 2)
     img1 = GrayImage.from_array(np.array([[500, 500], [500, 501]], dtype=np.uint16))
     img2 = GrayImage.from_array(np.array([[500, 500], [501, 501]], dtype=np.uint16))
-    assert adaptive_thresholds(img1, grid)[0, 0] == 500
-    assert adaptive_thresholds(img2, grid)[0, 0] == 501
+    assert adaptive_thresholds(img1, 2)[0, 0] == 500
+    assert adaptive_thresholds(img2, 2)[0, 0] == 501
 
 
 def test_adaptive_grid_mismatch():
-    img = GrayImage.from_array(np.zeros((64, 64), dtype=np.uint16))
-    grid = tile_windows(32, 32, 32)
-    with pytest.raises(DimensionError):
-        binarize_frame(img, grid, PivConfig())
+    # 48 px wide: 32-px windows do not tile it, and the error names the axis.
+    img = GrayImage.from_array(np.zeros((64, 48), dtype=np.uint16))
+    with pytest.raises(DimensionError, match="width 48"):
+        binarize_frame(img, PivConfig())
 
 
 @pytest.mark.parametrize("ws", [1, 8, 33, 64])
@@ -93,7 +89,7 @@ def test_adaptive_thresholds_equal_an_int64_reference(ws):
     sums = data.astype(np.int64).reshape(rows, ws, cols, ws).sum(axis=(1, 3))
     area = ws * ws
     expected = (2 * sums + area) // (2 * area)
-    np.testing.assert_array_equal(adaptive_thresholds(img, tile_windows(cols * ws, rows * ws, ws)), expected)
+    np.testing.assert_array_equal(adaptive_thresholds(img, ws), expected)
 
 
 @pytest.mark.parametrize("ws", [64, 65])
@@ -101,5 +97,5 @@ def test_adaptive_thresholds_of_a_saturated_frame(ws):
     # A window column of ws pixels at 1023 sums to 65472 at ws = 64, the
     # largest window a PivConfig allows, and overflows uint16 at ws = 65.
     img = GrayImage.from_array(np.full((2 * ws, 2 * ws), 1023, dtype=np.uint16))
-    thr = adaptive_thresholds(img, tile_windows(2 * ws, 2 * ws, ws))
+    thr = adaptive_thresholds(img, ws)
     np.testing.assert_array_equal(thr, np.full((2, 2), 1023))

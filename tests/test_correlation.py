@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ringpiv import BinaryImage, ConfigError, xcorr_binary
+from ringpiv import BinaryImage, ConfigError, DimensionError, xcorr_binary
 
 
 def binary_xnor_oracle(search: np.ndarray, pattern: np.ndarray) -> np.ndarray:
@@ -58,6 +58,13 @@ def test_binary_pattern_larger_than_search_rejected():
     big = BinaryImage.from_bool(np.zeros((16, 16), dtype=bool))
     with pytest.raises(ConfigError):
         xcorr_binary(small, big)
+
+
+def test_binary_search_wider_than_a_row_word_rejected():
+    search = BinaryImage.from_bool(np.zeros((65, 65), dtype=bool))
+    pattern = BinaryImage.from_bool(np.zeros((16, 16), dtype=bool))
+    with pytest.raises(DimensionError, match="65"):
+        xcorr_binary(search, pattern)
 
 
 @settings(max_examples=120, deadline=None)

@@ -114,15 +114,16 @@ def per_window_vectors(f1, f2, cfg):
 
     Each plane is also checked against the per-bit XNOR count.
     """
-    grid = tile_windows(f1.width, f1.height, cfg.window_size)
-    b1 = binarize_frame(f1, grid, cfg)
-    b2 = binarize_frame(f2, grid, cfg)
-    off = (cfg.window_size - cfg.pattern_size) // 2
+    w, p = cfg.window_size, cfg.pattern_size
+    grid = tile_windows(f1.width, f1.height, w)
+    b1 = binarize_frame(f1, cfg)
+    b2 = binarize_frame(f2, cfg)
+    off = (w - p) // 2
     vectors = []
     for idx in range(grid.count):
         x0, y0 = grid.origin(idx)
-        search = b1.window(x0, y0, cfg.window_size)
-        pattern = b2.window(x0 + off, y0 + off, cfg.pattern_size)
+        search = BinaryImage.from_bool(b1[y0 : y0 + w, x0 : x0 + w])
+        pattern = BinaryImage.from_bool(b2[y0 + off : y0 + off + p, x0 + off : x0 + off + p])
         plane = xcorr_binary(search, pattern)
         bits = pattern.to_bool()
         xnor = (sliding_window_view(search.to_bool(), bits.shape) == bits).sum(axis=(2, 3))

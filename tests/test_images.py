@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from ringpiv import BinaryImage, DimensionError, GrayImage, InputFormatError
-from ringpiv.images import _pack_rows
+from ringpiv.piv import _pack_window_rows
 
 
 def test_gray_rejects_out_of_range():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputFormatError, match="intensity 1024"):
         GrayImage.from_array(np.full((4, 4), 1024, dtype=np.int32))
-    with pytest.raises(DimensionError, match="intensity 70000"):
+    with pytest.raises(InputFormatError, match="intensity 70000"):
         GrayImage.from_array(np.full((4, 4), 70000, dtype=np.int32))
 
 
@@ -85,24 +85,6 @@ def test_binary_from_bool_copies_and_to_bool_is_read_only():
         img.to_bool()[0, 0] = True
 
 
-def test_binary_window_extraction():
-    rng = np.random.default_rng(3)
-    bits = rng.random((64, 64)) < 0.5
-    img = BinaryImage.from_bool(bits)
-    win = img.window(32, 16, 32)
-    np.testing.assert_array_equal(win.to_bool(), bits[16:48, 32:64])
-
-
-def test_packed_rows_bit_assignment():
-    bits = np.zeros((2, 8), dtype=bool)
-    bits[0, 0] = True
-    bits[0, 7] = True
-    bits[1, 3] = True
-    rows = BinaryImage.from_bool(bits).packed_rows()
-    assert rows[0] == (1 | 1 << 7)
-    assert rows[1] == 1 << 3
-
-
 @pytest.mark.parametrize(
     "make, field, dtype",
     [
@@ -130,13 +112,13 @@ def test_pack_rows_equals_per_bit_reference():
     rng = np.random.default_rng(11)
     for w in range(1, 65):
         bits = rng.random((5, w)) < 0.5
-        np.testing.assert_array_equal(_pack_rows(bits), reference_row_words(bits), f"w={w}")
+        np.testing.assert_array_equal(_pack_window_rows(bits), reference_row_words(bits), f"w={w}")
         # The strided views compute_field packs: the (rows, cols, w, w)
         # windows of a frame and the centred pattern slice of them.
         frame = rng.random((2 * w, 3 * w)) < 0.5
         windows = frame.reshape(2, w, 3, w).transpose(0, 2, 1, 3)
-        np.testing.assert_array_equal(_pack_rows(windows), reference_row_words(windows), f"w={w}")
+        np.testing.assert_array_equal(_pack_window_rows(windows), reference_row_words(windows), f"w={w}")
         p = max(1, w // 2)
         off = (w - p) // 2
         pattern = windows[..., off : off + p, off : off + p]
-        np.testing.assert_array_equal(_pack_rows(pattern), reference_row_words(pattern), f"w={w}")
+        np.testing.assert_array_equal(_pack_window_rows(pattern), reference_row_words(pattern), f"w={w}")

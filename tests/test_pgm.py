@@ -62,3 +62,12 @@ def test_rejects_pixel_above_maxval(tmp_path):
     path.write_bytes(b"P5\n2 1\n300\n" + data.tobytes())
     with pytest.raises(InputFormatError, match="400 exceeds the header maxval 300"):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("maxval, pixel", [(1023, 1024), (2000, 1500)])
+def test_rejects_pixel_above_the_10_bit_maximum(tmp_path, maxval, pixel):
+    path = tmp_path / "h.pgm"
+    data = np.array([[0, pixel]], dtype=">u2")
+    path.write_bytes(f"P5\n2 1\n{maxval}\n".encode() + data.tobytes())
+    with pytest.raises(InputFormatError, match=f"intensity {pixel} exceeds 10-bit maximum 1023"):
+        read_pgm(path)

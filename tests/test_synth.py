@@ -38,6 +38,39 @@ def test_zero_density_rejected():
         seed_particles(320, 256, 0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, unused",
+    [
+        ({"kind": "uniform", "dx": 1, "rate": 0.5}, "rate"),
+        ({"kind": "shear", "rate": 0.1, "dx": 1}, "dx"),
+        ({"kind": "vortex", "center": (5.0, 5.0), "strength": 0.1, "dy": 2}, "dy"),
+    ],
+    ids=["uniform", "shear", "vortex"],
+)
+def test_flow_rejects_a_field_its_kind_does_not_use(kwargs, unused):
+    with pytest.raises(ConfigError, match=f"does not use {unused}"):
+        FlowSpec(**kwargs)
+    # The same field left at its default is accepted.
+    FlowSpec(**{**kwargs, unused: FlowSpec.__dataclass_fields__[unused].default})
+
+
+def test_flow_compares_an_unused_array_field_by_value():
+    FlowSpec(kind="uniform", dx=1, center=np.array([0.0, 0.0]))
+    with pytest.raises(ConfigError, match="does not use center"):
+        FlowSpec(kind="uniform", dx=1, center=np.array([1.0, 0.0]))
+
+
+def test_particle_field_copies_the_callers_positions():
+    from ringpiv.synth import ParticleField
+
+    pos = np.array([[1.0, 2.0]])
+    f = ParticleField(positions=pos, radius=1.0, seed=0)
+    pos[0, 0] = 3.0
+    np.testing.assert_array_equal(f.positions, [[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        f.positions[0, 0] = 3.0
+
+
 def test_advect_identity_flow():
     f = seed_particles(64, 64, 5, seed=8)
     moved = advect(f, FlowSpec.uniform(0, 0))
