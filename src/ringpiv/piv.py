@@ -24,31 +24,39 @@ copy, and the centred pattern is a slice of that view.
 ``_pack_window_rows`` is the one packer: it copies each window row into a
 64-bool slot and packs all of them in one flat ``np.packbits`` run, so
 each window row becomes one uint64 row word: bit x is column x, upper bits
-zero, one format for every w <= 64.  The correlator packs
-k = min(64 // p, p) consecutive pattern rows into one word, row j of a
-group in bits [j*p, j*p + p), so a placement takes ceil(p / k) XOR +
+zero, one format for every w <= 64.  ``compute_field`` packs the windows
+row-major, so the rows arrive as (w, windows) and (p, windows): the window
+index is the last, contiguous axis of every correlator array, and each
+numpy pass runs over a whole chunk of windows in lock-step.  The correlator
+packs k = min(64 // p, p) consecutive pattern rows into one word, row j of
+a group in bits [j*p, j*p + p), so a placement takes ceil(p / k) XOR +
 popcounts instead of p (k = 1 for p > 32).  The search word of each
 (start row, ix) is built once and shared by every group and iy starting
-there; only a partial last group (fewer than k rows) is masked to its lanes.
-Windows are correlated 64 at a time.  Correlate time per window by chunk
-size (us, one thread, 2-CPU Intel Xeon):
+there; for k = 1 it is the row slice itself.  Only a partial last group
+(fewer than k rows) is masked to its lanes.  A chunk holds as many windows
+as keep its (w + pad, s, windows) slice buffer within ``_CHUNK_BYTES``, so
+one call's memory is bounded whatever the frame size.  Correlate time per
+window by budget (us, windows per chunk in brackets, median of 15
+interleaved rounds, one thread, 2-CPU Intel Xeon):
 
-    windows per chunk    32     64     96    128    256
-    2048x2048, 32/16    7.7    6.3    5.7    6.4    7.6
-    1280x1024, 64/48   41.4   36.6   36.0   35.8   40.8
+    budget               256 KiB     512 KiB     1 MiB       2 MiB
+    2048x2048, 32/16     6.0 (60)    5.6 (120)   5.9 (240)   7.1 (481)
+    1280x1024, 64/48    43.5 (30)   36.7 (60)   32.2 (120)  30.3 (240)
 
-64 to 128 are level within the noise; 64 keeps the intermediates smallest
-(under 1 MiB at 32/16), bounded whatever the frame size.  The peak reads
-the plane in an order sorted by (dx^2 + dy^2, iy, ix), cached per plane
-size s; argmax returns the first of equal maxima, which in that order is
-the tie-break winner.
+1 MiB is near the best for both; 2 MiB gains 6% at 64/48 for twice the
+memory.  The planes come back C-ordered, one contiguous (s, s) block per
+window.  The peak reads a plane in an order sorted by (dx^2 + dy^2, iy,
+ix), cached per plane size s with the dx and dy of each placement; argmax
+returns the first of equal maxima, which in that order is the tie-break
+winner.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +64,7 @@ from .errors import ConfigError, DimensionError
 from .images import BinaryImage, GrayImage
 
 _WORD = np.uint64
-_CHUNK = 64  # windows per correlate call
+_CHUNK_BYTES = 1 << 20  # one correlate call's slice buffer, see _chunk_windows
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,10 @@ def tile_windows(width: int, height: int, window_size: int) -> WindowGrid:
     """Tile a width x height image into disjoint square windows."""
     if window_size <= 0:
         raise ConfigError(f"window_size must be positive, got {window_size}")
+    if width <= 0:
+        raise DimensionError(f"width {width} must be positive")
+    if height <= 0:
+        raise DimensionError(f"height {height} must be positive")
     if width % window_size:
         raise DimensionError(f"width {width} is not divisible by window size {window_size}")
     if height % window_size:
@@ -135,8 +147,14 @@ class PivConfig:
             raise ConfigError(f"threshold {self.threshold} outside 0..1023")
 
 
-@dataclass(frozen=True)
-class Displacement:
+class Displacement(NamedTuple):
+    """Integer motion of one window's particles from frame 1 to frame 2.
+
+    ``dx`` is positive rightward and ``dy`` positive downward, in pixels;
+    ``peak_value`` is the matching-bit count at that placement, and
+    ``window_index`` the window's row-major index in its ``WindowGrid``.
+    """
+
     dx: int
     dy: int
     peak_value: int
@@ -145,8 +163,10 @@ class Displacement:
 
 @dataclass(frozen=True)
 class VectorField:
+    """One ``Displacement`` per window of ``grid``, in window order."""
+
     grid: WindowGrid
-    vectors: list[Displacement] = field(default_factory=list)
+    vectors: list[Displacement]
 
     def __post_init__(self):
         if len(self.vectors) != self.grid.count:
@@ -189,43 +209,55 @@ def _pack_window_rows(bits: np.ndarray) -> np.ndarray:
     return np.packbits(padded, bitorder="little").view("<u8").reshape(bits.shape[:-1])
 
 
+def _rows_per_word(p: int) -> int:
+    """Pattern rows packed into one uint64 word by the correlator."""
+    return min(64 // p, p)
+
+
+def _chunk_windows(w: int, p: int) -> int:
+    """Windows per correlate call: as many as fit one call's slice buffer in _CHUNK_BYTES."""
+    pad = -p % _rows_per_word(p)
+    return max(1, _CHUNK_BYTES // (8 * (w + pad) * (w - p + 1)))
+
+
 def _packed_xcorr_batch(
     search_rows: np.ndarray, pattern_rows: np.ndarray, w: int, p: int
 ) -> np.ndarray:
-    """XNOR match counts for a batch of windows.
+    """XNOR match counts for a batch of windows, the window index last.
 
-    search_rows: (n, w) uint64, pattern_rows: (n, p) uint64.  Returns
+    search_rows: (w, n) uint64, pattern_rows: (p, n) uint64.  Returns
     (n, s, s) int64 planes with s = w - p + 1, indexed (iy, ix).
     """
-    n, s = len(search_rows), w - p + 1
-    k = min(64 // p, p)  # pattern rows per word
+    n, s = search_rows.shape[1], w - p + 1
+    k = _rows_per_word(p)
     groups = -(-p // k)
     pad = groups * k - p  # rows missing from the last group
     lanes = np.arange(k, dtype=_WORD) * _WORD(p)
-    pattern = np.zeros((n, groups * k), dtype=_WORD)
-    pattern[:, :p] = pattern_rows
-    pattern_words = (pattern.reshape(n, groups, k) << lanes).sum(axis=2, dtype=_WORD)
-    # (n, row, ix): the p-bit slice of every search row at every horizontal placement
-    sliced = np.zeros((n, w + pad, s), dtype=_WORD)
-    sliced[:, :w] = (search_rows[:, :, None] >> np.arange(s, dtype=_WORD)) & _WORD((1 << p) - 1)
-    # (n, start row, ix): k consecutive slices per word, built once per start row
+    pattern = np.zeros((groups * k, n), dtype=_WORD)
+    pattern[:p] = pattern_rows
+    pattern_words = (pattern.reshape(groups, k, n) << lanes[:, None]).sum(axis=1, dtype=_WORD)
+    # (row, ix, n): the p-bit slice of every search row at every horizontal placement
+    sliced = np.empty((w + pad, s, n), dtype=_WORD)
+    sliced[w:] = 0
+    np.right_shift(search_rows[:, None], np.arange(s, dtype=_WORD)[:, None], out=sliced[:w])
+    sliced[:w] &= _WORD((1 << p) - 1)
+    # (start row, ix, n): k consecutive slices per word, built once per start row
     starts = s + (groups - 1) * k
-    search_words = sliced[:, :starts].copy()
+    search_words = sliced if k == 1 else sliced[:starts].copy()
     for j in range(1, k):
-        search_words |= sliced[:, j : j + starts] << lanes[j]
-    diff = np.zeros((n, s, s), dtype=np.uint16)  # at most p * p <= 4096
-    xor = np.empty((n, s, s), dtype=_WORD)
-    count = np.empty((n, s, s), dtype=np.uint8)
+        search_words |= sliced[j : j + starts] << lanes[j]
+    diff = np.zeros((s, s, n), dtype=np.uint16)  # at most p * p <= 4096
+    xor = np.empty((s, s, n), dtype=_WORD)
+    count = np.empty((s, s, n), dtype=np.uint8)
     for g in range(groups):
-        np.bitwise_xor(search_words[:, g * k : g * k + s], pattern_words[:, g, None, None], out=xor)
+        np.bitwise_xor(search_words[g * k : g * k + s], pattern_words[g], out=xor)
         if pad and g == groups - 1:
             # A partial last group compares only the pattern's rows: the
             # lanes above them hold search rows below the placement.
             xor &= _WORD((1 << (k - pad) * p) - 1)
         diff += np.bitwise_count(xor, out=count)
-    planes = np.full((n, s, s), p * p, dtype=np.int64)
-    planes -= diff
-    return planes
+    # C order makes each window's plane contiguous, so the peak reads it without a copy.
+    return np.subtract(np.int64(p * p), diff.transpose(2, 0, 1), order="C")
 
 
 def xcorr_binary(search: BinaryImage, pattern: BinaryImage) -> np.ndarray:
@@ -243,19 +275,22 @@ def xcorr_binary(search: BinaryImage, pattern: BinaryImage) -> np.ndarray:
         )
     if search.width > 64:
         raise DimensionError(f"search window {search.width} is wider than a 64-bit row word")
-    search_rows = _pack_window_rows(search.bits)[None]
-    pattern_rows = _pack_window_rows(pattern.bits)[None]
+    search_rows = _pack_window_rows(search.bits)[:, None]
+    pattern_rows = _pack_window_rows(pattern.bits)[:, None]
     return _packed_xcorr_batch(search_rows, pattern_rows, search.width, pattern.width)[0]
 
 
 @functools.lru_cache(maxsize=16)
-def _tie_order(s: int) -> np.ndarray:
-    """Flat placement indices of an (s, s) plane sorted by (dx^2 + dy^2, iy, ix), read-only."""
+def _tie_order(s: int) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """Placements of an (s, s) plane sorted by (dx^2 + dy^2, iy, ix).
+
+    Returns their flat indices (read-only) and their dx and dy.
+    """
     off = (s - 1) // 2
     iy, ix = np.indices((s, s)).reshape(2, -1)
     order = np.lexsort((ix, iy, (off - ix) ** 2 + (off - iy) ** 2))
     order.setflags(write=False)
-    return order
+    return order, tuple((off - ix[order]).tolist()), tuple((off - iy[order]).tolist())
 
 
 def peak_displacement(plane: np.ndarray, window_index: int = 0) -> Displacement:
@@ -269,15 +304,10 @@ def peak_displacement(plane: np.ndarray, window_index: int = 0) -> Displacement:
         raise DimensionError(
             f"correlation plane must be a non-empty square 2-D array, got shape {plane.shape}"
         )
-    s = plane.shape[0]
-    order = _tie_order(s)
+    order, dx, dy = _tie_order(plane.shape[0])
     ranked = plane.ravel()[order]
     best = int(ranked.argmax())  # the first maximum in tie order
-    iy, ix = divmod(int(order[best]), s)
-    off = (s - 1) // 2
-    return Displacement(
-        dx=off - ix, dy=off - iy, peak_value=int(ranked[best]), window_index=window_index
-    )
+    return Displacement(dx[best], dy[best], ranked.item(best), window_index)
 
 
 def _split_windows(bits: np.ndarray, grid: WindowGrid) -> np.ndarray:
@@ -302,12 +332,14 @@ def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> Vecto
     off = (w - p) // 2  # the centred pattern's top-left inside its window
     search_wins = _split_windows(binarize_frame(frame1, cfg), grid)
     pattern_wins = _split_windows(binarize_frame(frame2, cfg), grid)[..., off : off + p, off : off + p]
-    search_rows = _pack_window_rows(search_wins).reshape(grid.count, w)
-    pattern_rows = _pack_window_rows(pattern_wins).reshape(grid.count, p)
+    # (row, window): the window index is the contiguous axis of every correlator array
+    search_rows = _pack_window_rows(search_wins.transpose(2, 0, 1, 3)).reshape(w, grid.count)
+    pattern_rows = _pack_window_rows(pattern_wins.transpose(2, 0, 1, 3)).reshape(p, grid.count)
 
     vectors = []
-    for start in range(0, grid.count, _CHUNK):
-        stop = start + _CHUNK
-        planes = _packed_xcorr_batch(search_rows[start:stop], pattern_rows[start:stop], w, p)
+    chunk = _chunk_windows(w, p)
+    for start in range(0, grid.count, chunk):
+        stop = start + chunk
+        planes = _packed_xcorr_batch(search_rows[:, start:stop], pattern_rows[:, start:stop], w, p)
         vectors += [peak_displacement(plane, start + i) for i, plane in enumerate(planes)]
     return VectorField(grid=grid, vectors=vectors)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ringpiv import BinaryImage, ConfigError, DimensionError, xcorr_binary
+from ringpiv import BinaryImage, ConfigError, DimensionError, piv, xcorr_binary
 
 
 def binary_xnor_oracle(search: np.ndarray, pattern: np.ndarray) -> np.ndarray:
@@ -80,6 +80,33 @@ def test_binary_oracle_equivalence_property(w, p_frac, seed):
     pat = rng.random((p, p)) < rng.uniform(0.1, 0.9)
     plane = xcorr_binary(BinaryImage.from_bool(bits), BinaryImage.from_bool(pat))
     np.testing.assert_array_equal(plane, binary_xnor_oracle(bits, pat))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.integers(1, 64).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, w))),
+    n=st.integers(1, 9),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(sizes=(64, 48), n=5, seed=1)  # p > 32: one pattern row per word
+@example(sizes=(32, 13), n=4, seed=2)  # the last row group holds 1 of 4 rows
+@example(sizes=(8, 5), n=1, seed=3)  # one window
+def test_packed_batch_matches_per_bit_oracle_per_window(sizes, n, seed):
+    # Distinct windows side by side: a mix-up of the window and row axes
+    # would correlate one window's rows against another's.
+    w, p = sizes
+    rng = np.random.default_rng(seed)
+    search = rng.random((n, w, w)) < rng.uniform(0.1, 0.9, size=(n, 1, 1))
+    pattern = rng.random((n, p, p)) < rng.uniform(0.1, 0.9, size=(n, 1, 1))
+    planes = piv._packed_xcorr_batch(
+        piv._pack_window_rows(search.transpose(1, 0, 2)),
+        piv._pack_window_rows(pattern.transpose(1, 0, 2)),
+        w,
+        p,
+    )
+    assert planes.shape == (n, w - p + 1, w - p + 1) and planes.dtype == np.int64
+    for i in range(n):
+        np.testing.assert_array_equal(planes[i], binary_xnor_oracle(search[i], pattern[i]))
 
 
 @settings(max_examples=60, deadline=None)

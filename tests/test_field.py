@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -171,19 +173,81 @@ def test_field_matches_per_window_path_over_random_geometry(sizes, tiles, binari
     assert got == per_window_vectors(f1, f2, cfg)
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["one-short", "exact", "one-over"])
-def test_field_matches_per_window_path_at_the_chunk_boundary(extra):
-    # One window short of a full chunk, one full chunk, a full chunk and one window.
-    count = piv._CHUNK + extra
+def chunk_boundary_vectors(w, p, extra):
+    """compute_field and the per-window path on a one-row frame of chunk + extra windows."""
+    count = piv._chunk_windows(w, p) + extra
     rng = np.random.default_rng(count)
-    a = rng.integers(0, 1024, size=(8, 8 * count))
+    a = rng.integers(0, 1024, size=(w, w * count))
     b = np.roll(a, (1, -2), axis=(0, 1))
     f1, f2 = GrayImage.from_array(a), GrayImage.from_array(b)
-    cfg = PivConfig(window_size=8, pattern_size=5)
+    cfg = PivConfig(window_size=w, pattern_size=p)
     out = compute_field(f1, f2, cfg)
     assert out.grid.count == count
     got = [(v.dx, v.dy, v.peak_value, v.window_index) for v in out.vectors]
-    assert got == per_window_vectors(f1, f2, cfg)
+    return got, per_window_vectors(f1, f2, cfg)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["one-short", "exact", "one-over"])
+def test_field_matches_per_window_path_at_the_chunk_boundary(extra):
+    # One window short of a full chunk, one full chunk, a full chunk and one
+    # window; 8/5 packs k = 5 pattern rows per word.
+    got, expected = chunk_boundary_vectors(8, 5, extra)
+    assert got == expected
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["one-short", "exact", "one-over"])
+def test_field_matches_per_window_path_at_a_one_row_per_word_chunk_boundary(extra):
+    # p > 32: k = 1, so the search words are the row slices themselves.
+    got, expected = chunk_boundary_vectors(64, 40, extra)
+    assert got == expected
+
+
+def test_chunk_is_the_most_windows_whose_slice_buffer_fits_the_budget():
+    for w in range(1, 65):
+        for p in range(1, w + 1):
+            n = piv._chunk_windows(w, p)
+            k = min(64 // p, p)
+            per_window = 8 * (w + (-p % k)) * (w - p + 1)  # (w + pad, s) uint64 slices
+            assert n >= 1
+            assert n * per_window <= piv._CHUNK_BYTES < (n + 1) * per_window, (w, p)
+
+
+@pytest.mark.parametrize("windows", [50, 1000])
+@pytest.mark.parametrize(
+    "w, p, binarization, threshold",
+    [(32, 16, "adaptive", None), (64, 48, "global", 500)],
+    ids=["32-16", "64-48"],
+)
+def test_correlate_memory_is_bounded_by_the_chunk_budget(monkeypatch, w, p, binarization, threshold, windows):
+    # The benchmark geometries: one correlate call allocates under four
+    # budgets at its peak, whatever the frame size.
+    correlate = piv._packed_xcorr_batch
+    peaks = []
+
+    def measured(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = correlate(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+
+    rng = np.random.default_rng(windows)
+    a = rng.integers(0, 1024, size=(w, w * windows), dtype=np.uint16)
+    f1, f2 = GrayImage.from_array(a), GrayImage.from_array(np.roll(a, 1, axis=1))
+    cfg = PivConfig(window_size=w, pattern_size=p, binarization=binarization, threshold=threshold)
+    monkeypatch.setattr(piv, "_packed_xcorr_batch", measured)
+    tracemalloc.start()
+    try:
+        compute_field(f1, f2, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == -(-windows // piv._chunk_windows(w, p))
+    assert max(peaks) < 4 * piv._CHUNK_BYTES
+
+
+def test_vector_field_requires_its_vectors():
+    with pytest.raises(TypeError):
+        piv.VectorField(grid=tile_windows(32, 32, 32))
 
 
 def test_compute_field_deterministic():

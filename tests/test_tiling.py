@@ -25,6 +25,12 @@ def test_non_divisible_width_names_axis():
         tile_windows(300, 256, 32)
 
 
+@pytest.mark.parametrize("width, height, axis", [(0, 32, "width 0"), (32, -32, "height -32")])
+def test_non_positive_size_names_axis(width, height, axis):
+    with pytest.raises(DimensionError, match=axis):
+        tile_windows(width, height, 32)
+
+
 def test_origins_row_major_disjoint_cover():
     grid = tile_windows(96, 64, 32)
     origins = [grid.origin(i) for i in range(grid.count)]
