@@ -15,7 +15,6 @@ from .piv import (
     compute_field,
     peak_displacement,
     tile_windows,
-    xcorr_binary,
 )
 from .synth import FlowSpec, ParticleField, RenderConfig, advect, render_pair, seed_particles
 
@@ -40,5 +39,4 @@ __all__ = [
     "render_pair",
     "seed_particles",
     "tile_windows",
-    "xcorr_binary",
 ]

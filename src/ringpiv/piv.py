@@ -2,13 +2,14 @@
 
 Coordinate conventions
 ----------------------
-A correlation plane is an (s, s) array indexed (iy, ix) by the pattern
-placement top-left inside the search window; only fully-overlapping
-placements are evaluated, so a w-pixel window and p-pixel pattern give
-s = w - p + 1 placements per axis.  Zero displacement is the centred
-placement off = (s - 1) // 2 on both axes, which equals the pattern's own
-offset (w - p) // 2, so the plane's shape alone fixes it.  A placement
-(iy, ix) maps to
+``_packed_xcorr_batch`` returns (n, s, s) correlation planes, one per
+window, and ``peak_displacement`` reads each (s, s) plane.  A plane is
+indexed (iy, ix) by the pattern placement top-left inside the search
+window; only fully-overlapping placements are evaluated, so a w-pixel
+window and p-pixel pattern give s = w - p + 1 placements per axis.
+Zero displacement is the centred placement off = (s - 1) // 2 on both
+axes, which equals the pattern's own offset (w - p) // 2, so the plane's
+shape alone fixes it.  A placement (iy, ix) maps to
 
     dx = off - ix
     dy = off - iy
@@ -61,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .images import BinaryImage, GrayImage
+from .images import GrayImage
 
 _WORD = np.uint64
 _CHUNK_BYTES = 1 << 20  # one correlate call's slice buffer, see _chunk_windows
@@ -258,26 +259,6 @@ def _packed_xcorr_batch(
         diff += np.bitwise_count(xor, out=count)
     # C order makes each window's plane contiguous, so the peak reads it without a copy.
     return np.subtract(np.int64(p * p), diff.transpose(2, 0, 1), order="C")
-
-
-def xcorr_binary(search: BinaryImage, pattern: BinaryImage) -> np.ndarray:
-    """Binary cross-correlation: per-placement count of matching bits (XNOR sum).
-
-    Returns the (s, s) int64 plane, s = w - p + 1.  Implemented with
-    word-packed rows, XOR, and population counts; equal to the per-bit
-    definition exactly.
-    """
-    if search.width != search.height or pattern.width != pattern.height:
-        raise ConfigError("search and pattern regions must be square")
-    if pattern.width > search.width:
-        raise ConfigError(
-            f"pattern {pattern.width} larger than search window {search.width}"
-        )
-    if search.width > 64:
-        raise DimensionError(f"search window {search.width} is wider than a 64-bit row word")
-    search_rows = _pack_window_rows(search.bits)[:, None]
-    pattern_rows = _pack_window_rows(pattern.bits)[:, None]
-    return _packed_xcorr_batch(search_rows, pattern_rows, search.width, pattern.width)[0]
 
 
 @functools.lru_cache(maxsize=16)

@@ -8,6 +8,7 @@ given (seed, flow, config) triple always produces bit-identical frames.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -81,6 +82,8 @@ class ParticleField:
     seed: int
 
     def __post_init__(self):
+        if not (isinstance(self.radius, numbers.Real) and np.isfinite(self.radius) and self.radius > 0):
+            raise ConfigError(f"radius must be a positive finite number, got {self.radius!r}")
         # Its own read-only copy, so the caller's array stays writable and cannot change the field.
         object.__setattr__(self, "positions", np.array(self.positions, dtype=float))
         self.positions.setflags(write=False)
@@ -92,6 +95,8 @@ class ParticleField:
 
 @dataclass(frozen=True)
 class RenderConfig:
+    """Frame size and intensities; every field is an integer, numpy integers are stored as ``int``."""
+
     width: int = 320
     height: int = 256
     background: int = 100
@@ -99,6 +104,11 @@ class RenderConfig:
     noise_amplitude: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(self, f.name, int(value))
         if not (0 <= self.background <= MAX_INTENSITY):
             raise ConfigError(f"background {self.background} outside 0..{MAX_INTENSITY}")
         if not (0 <= self.particle_intensity <= MAX_INTENSITY):
@@ -176,37 +186,3 @@ def render_pair(
     first = np.clip(first, 0, MAX_INTENSITY)
     second = np.clip(second, 0, MAX_INTENSITY)
     return GrayImage.from_array(first), GrayImage.from_array(second)
-
-
-def interior_particle_counts(
-    field: ParticleField, flow: FlowSpec, window_size: int, pattern_size: int,
-    width: int, height: int,
-) -> np.ndarray:
-    """Per-window count of particles whose disc lies fully inside the
-    frame-1 block that sources the frame-2 pattern.
-
-    Only meaningful for uniform integer flows, where that block is the
-    centered pattern block shifted back by the displacement.
-    """
-    if flow.kind != "uniform":
-        raise ConfigError("interior counts are defined for uniform flows only")
-    cols = width // window_size
-    rows = height // window_size
-    off = (window_size - pattern_size) // 2
-    counts = np.zeros(rows * cols, dtype=int)
-    if field.count == 0:
-        return counts
-    x, y = field.positions[:, 0], field.positions[:, 1]
-    r = field.radius
-    for wy in range(rows):
-        for wx in range(cols):
-            bx = wx * window_size + off - flow.dx
-            by = wy * window_size + off - flow.dy
-            ok = (
-                (x - r >= bx)
-                & (x + r <= bx + pattern_size - 1)
-                & (y - r >= by)
-                & (y + r <= by + pattern_size - 1)
-            )
-            counts[wy * cols + wx] = int(ok.sum())
-    return counts

@@ -2,10 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _reference import lexsort_peak, xnor_plane
 from ringpiv import (
     ConfigError,
     DimensionError,
@@ -18,8 +18,7 @@ from ringpiv import (
     seed_particles,
 )
 from ringpiv import piv
-from ringpiv.piv import peak_displacement, xcorr_binary, binarize_frame, tile_windows
-from ringpiv.images import BinaryImage
+from ringpiv.piv import binarize_frame, tile_windows
 
 
 def test_identical_frames_give_zero_field():
@@ -101,6 +100,21 @@ def test_config_rejects_a_threshold_that_does_not_fit_the_mode(kwargs, message):
         PivConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"pattern_size": 33}, "pattern_size 33 exceeds window_size 32"),
+        ({"window_size": 65}, "window_size above 64"),
+        ({"window_size": 0}, "must be positive"),
+        ({"pattern_size": -16}, "must be positive"),
+    ],
+    ids=["pattern-over-window", "window-over-64", "window-0", "pattern-negative"],
+)
+def test_config_rejects_sizes_the_correlator_cannot_run(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        PivConfig(**kwargs)
+
+
 def test_config_stores_numpy_integers_as_int():
     cfg = PivConfig(
         window_size=np.int64(32), pattern_size=np.int32(16), binarization="global", threshold=np.uint16(500)
@@ -112,9 +126,10 @@ def test_config_stores_numpy_integers_as_int():
 
 
 def per_window_vectors(f1, f2, cfg):
-    """(dx, dy, peak, index) of each window, correlated one BinaryImage window at a time.
+    """(dx, dy, peak, index) of each window from bool slices, the XNOR plane and the lexsort peak.
 
-    Each plane is also checked against the per-bit XNOR count.
+    Only the binarizer and the tiling are the package's; no packer,
+    correlator or peak of ``ringpiv.piv`` runs here.
     """
     w, p = cfg.window_size, cfg.pattern_size
     grid = tile_windows(f1.width, f1.height, w)
@@ -124,14 +139,9 @@ def per_window_vectors(f1, f2, cfg):
     vectors = []
     for idx in range(grid.count):
         x0, y0 = grid.origin(idx)
-        search = BinaryImage.from_bool(b1[y0 : y0 + w, x0 : x0 + w])
-        pattern = BinaryImage.from_bool(b2[y0 + off : y0 + off + p, x0 + off : x0 + off + p])
-        plane = xcorr_binary(search, pattern)
-        bits = pattern.to_bool()
-        xnor = (sliding_window_view(search.to_bool(), bits.shape) == bits).sum(axis=(2, 3))
-        np.testing.assert_array_equal(plane, xnor)
-        d = peak_displacement(plane, idx)
-        vectors.append((d.dx, d.dy, d.peak_value, d.window_index))
+        search = b1[y0 : y0 + w, x0 : x0 + w]
+        pattern = b2[y0 + off : y0 + off + p, x0 + off : x0 + off + p]
+        vectors.append((*lexsort_peak(xnor_plane(search, pattern), off), idx))
     return vectors
 
 

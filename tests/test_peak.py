@@ -3,12 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringpiv import (
-    BinaryImage,
-    DimensionError,
-    peak_displacement,
-    xcorr_binary,
-)
+from _reference import lexsort_peak
+from ringpiv import DimensionError, peak_displacement
+from test_correlation import packed_plane
 
 
 def test_peak_at_zero_shift():
@@ -69,20 +66,10 @@ def test_planted_pattern_recovers_exact_shift(a, b, seed):
     tiled = np.tile(pat, (2, 2))
     search = ~tiled[:32, :32]
     search[iy : iy + p, ix : ix + p] = pat
-    plane = xcorr_binary(BinaryImage.from_bool(search), BinaryImage.from_bool(pat))
+    plane = packed_plane(search, pat)
     d = peak_displacement(plane)
     assert (d.dx, d.dy) == (a, b)
     assert d.peak_value == p * p
-
-
-def lexsort_peak(values, offset):
-    """Reference tie-break: every maximum, sorted by (dx^2 + dy^2, iy, ix)."""
-    peak = values.max()
-    ties_y, ties_x = np.nonzero(values == peak)
-    dx = offset - ties_x
-    dy = offset - ties_y
-    best = np.lexsort((ties_x, ties_y, dx * dx + dy * dy))[0]
-    return int(dx[best]), int(dy[best]), int(peak)
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ from ringpiv import (
     render_pair,
     seed_particles,
 )
-from ringpiv.synth import interior_particle_counts, render
+from ringpiv.synth import ParticleField, render
 
 
 def test_seeding_deterministic():
@@ -38,6 +38,32 @@ def test_zero_density_rejected():
         seed_particles(320, 256, 0, seed=1)
 
 
+@pytest.mark.parametrize("radius", [-2.0, 0.0, float("nan"), float("inf")])
+def test_particle_field_rejects_a_radius_that_is_not_positive_and_finite(radius):
+    with pytest.raises(ConfigError, match="radius must be a positive finite number"):
+        seed_particles(64, 64, 10, seed=1, radius=radius)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"background": 100.7}, "background"),
+        ({"particle_intensity": 900.9}, "particle_intensity"),
+        ({"noise_amplitude": 2.5}, "noise_amplitude"),
+        ({"width": 320.0}, "width"),
+        ({"height": True}, "height"),
+    ],
+)
+def test_render_config_rejects_non_integers(kwargs, name):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        RenderConfig(**kwargs)
+
+
+def test_render_config_stores_numpy_integers_as_int():
+    cfg = RenderConfig(width=np.int64(64), background=np.uint16(77), noise_amplitude=np.int32(3))
+    assert all(type(getattr(cfg, name)) is int for name in ("width", "background", "noise_amplitude"))
+
+
 @pytest.mark.parametrize(
     "kwargs, unused",
     [
@@ -61,8 +87,6 @@ def test_flow_compares_an_unused_array_field_by_value():
 
 
 def test_particle_field_copies_the_callers_positions():
-    from ringpiv.synth import ParticleField
-
     pos = np.array([[1.0, 2.0]])
     f = ParticleField(positions=pos, radius=1.0, seed=0)
     pos[0, 0] = 3.0
@@ -84,24 +108,18 @@ def test_advect_uniform_shift():
 
 
 def test_advect_shear_definition():
-    from ringpiv.synth import ParticleField
-
     f = ParticleField(positions=np.array([[50.0, 100.0]]), radius=2.0, seed=0)
     moved = advect(f, FlowSpec.shear(0.1))
     np.testing.assert_allclose(moved.positions, [[60.0, 100.0]])
 
 
 def test_advect_vortex_rotates_about_center():
-    from ringpiv.synth import ParticleField
-
     f = ParticleField(positions=np.array([[20.0, 10.0]]), radius=2.0, seed=0)
     moved = advect(f, FlowSpec.vortex((10.0, 10.0), np.pi / 2))
     np.testing.assert_allclose(moved.positions, [[10.0, 20.0]], atol=1e-12)
 
 
 def test_render_no_particles_constant_background():
-    from ringpiv.synth import ParticleField
-
     f = ParticleField(positions=np.empty((0, 2)), radius=2.0, seed=0)
     cfg = RenderConfig(width=48, height=40, background=77)
     f1, f2 = render_pair(f, FlowSpec.uniform(3, 0), cfg)
@@ -109,8 +127,6 @@ def test_render_no_particles_constant_background():
 
 
 def test_render_disc_moves_with_flow():
-    from ringpiv.synth import ParticleField
-
     f = ParticleField(positions=np.array([[16.0, 16.0]]), radius=1.0, seed=0)
     cfg = RenderConfig(width=32, height=32)
     f1, f2 = render_pair(f, FlowSpec.uniform(3, 0), cfg)
@@ -129,8 +145,6 @@ def test_render_pair_reproducible_with_noise():
 
 
 def test_partial_exit_keeps_particles():
-    from ringpiv.synth import ParticleField
-
     f = ParticleField(positions=np.array([[30.0, 16.0]]), radius=2.0, seed=0)
     moved = advect(f, FlowSpec.uniform(10, 0))
     assert moved.count == 1  # kept even though it leaves a 32px frame
@@ -153,6 +167,38 @@ def test_recovery_rate_uniform_flows():
             total += len(out.vectors)
             hits += sum(1 for v in out.vectors if (v.dx, v.dy) == (dx, dy))
         assert hits / total >= 0.95, f"flow ({dx},{dy}): {hits}/{total}"
+
+
+def interior_particle_counts(
+    field: ParticleField, flow: FlowSpec, window_size: int, pattern_size: int,
+    width: int, height: int,
+) -> np.ndarray:
+    """Per-window count of particles whose disc lies fully inside the
+    frame-1 block that sources the frame-2 pattern.
+
+    Only meaningful for uniform integer flows, where that block is the
+    centered pattern block shifted back by the displacement.
+    """
+    cols = width // window_size
+    rows = height // window_size
+    off = (window_size - pattern_size) // 2
+    counts = np.zeros(rows * cols, dtype=int)
+    if field.count == 0:
+        return counts
+    x, y = field.positions[:, 0], field.positions[:, 1]
+    r = field.radius
+    for wy in range(rows):
+        for wx in range(cols):
+            bx = wx * window_size + off - flow.dx
+            by = wy * window_size + off - flow.dy
+            ok = (
+                (x - r >= bx)
+                & (x + r <= bx + pattern_size - 1)
+                & (y - r >= by)
+                & (y + r <= by + pattern_size - 1)
+            )
+            counts[wy * cols + wx] = int(ok.sum())
+    return counts
 
 
 def test_windows_with_three_interior_particles_recover_exactly():
