@@ -19,16 +19,21 @@ raster coordinates (positive dx rightward, positive dy downward).
 
 Hot path
 --------
-Each frame is binarized by ``binarize_frame`` to one (H, W) bool array;
-``_split_windows`` views it as (rows, cols, ws, ws) windows without a
-copy, and the centred pattern is a slice of that view.
-``_pack_window_rows`` is the one packer: it copies each window row into a
-64-bool slot and packs all of them in one flat ``np.packbits`` run, so
-each window row becomes one uint64 row word: bit x is column x, upper bits
-zero, one format for every w <= 64.  ``compute_field`` packs the windows
-row-major, so the rows arrive as (w, windows) and (p, windows): the window
-index is the last, contiguous axis of every correlator array, and each
-numpy pass runs over a whole chunk of windows in lock-step.  The correlator
+``binarize_frame`` turns each frame into one (H, W) bool raster.  The
+adaptive threshold sums each window column over ws whole image rows in the
+uint16 of the pixels (64 * 1023 fits), then compares each band of ws rows
+against its thresholds repeated to one image-wide row.
+``_pack_window_rows`` is the one packer: each row of w bools takes the
+smallest 8/16/32/64-bit slot that holds it (padded only when w is not a
+slot size), one flat ``np.packbits`` run packs all of them, and each slot
+is widened to a uint64 row word: bit x is column x, upper bits zero, one
+format for every w <= 64.  ``compute_field`` packs each frame's row-major
+raster as (H, cols, w) without a copy, and ``_split_windows`` transposes
+those (H, cols) row words into (w, windows) window rows.  The centred
+pattern is derived from frame 2's window rows by shift and mask, so there
+is no second packing pass.  The window index is the last, contiguous axis
+of every correlator array, and each numpy pass runs over a whole chunk of
+windows in lock-step.  The correlator
 packs k = min(64 // p, p) consecutive pattern rows into one word, row j of
 a group in bits [j*p, j*p + p), so a placement takes ceil(p / k) XOR +
 popcounts instead of p (k = 1 for p > 32).  The search word of each
@@ -180,11 +185,12 @@ def adaptive_thresholds(img: GrayImage, window_size: int) -> np.ndarray:
     """Mean intensity of each window_size tile, rounded half up; (rows, cols) int64."""
     grid = tile_windows(img.width, img.height, window_size)
     ws = window_size
-    # Whole rows first, then runs of ws columns.  A column sum of a window
-    # is at most ws * 1023, inside uint32 for any ws below 4 million.
+    # Each window column summed over ws whole image rows first.  The sum is
+    # at most ws * 1023: the pixels' own uint16, with no cast, up to ws = 64.
     sums = (
-        img.data.reshape(grid.rows, ws, grid.cols, ws)
-        .sum(axis=1, dtype=np.uint32)
+        img.data.reshape(grid.rows, ws, img.width)
+        .sum(axis=1, dtype=np.min_scalar_type(ws * 1023))
+        .reshape(grid.rows, grid.cols, ws)
         .sum(axis=2, dtype=np.int64)
     )
     area = ws * ws
@@ -196,18 +202,25 @@ def binarize_frame(img: GrayImage, cfg: PivConfig) -> np.ndarray:
     if cfg.binarization == "global":
         return img.data >= cfg.threshold
     ws = cfg.window_size
-    thr = adaptive_thresholds(img, ws).astype(np.uint16)
-    blocks = img.data.reshape(thr.shape[0], ws, thr.shape[1], ws)
-    return (blocks >= thr[:, None, :, None]).reshape(img.height, img.width)
+    # One threshold per pixel column of each band of ws rows: every compare
+    # runs the whole image width.
+    thr = np.repeat(adaptive_thresholds(img, ws).astype(np.uint16), ws, axis=1)
+    bands = img.data.reshape(thr.shape[0], ws, img.width)
+    return (bands >= thr[:, None, :]).reshape(img.height, img.width)
 
 
 def _pack_window_rows(bits: np.ndarray) -> np.ndarray:
     """(..., w) bool with w <= 64 -> (...) uint64 row words, bit x = column x."""
-    padded = np.zeros(bits.shape[:-1] + (64,), dtype=bool)
-    padded[..., : bits.shape[-1]] = bits
-    # Each padded row is one word of the flat bit run, and one long packbits
-    # run is far faster than many 64-bool rows along an axis.
-    return np.packbits(padded, bitorder="little").view("<u8").reshape(bits.shape[:-1])
+    w = bits.shape[-1]
+    slot = max(8, 1 << (w - 1).bit_length())  # 8, 16, 32 or 64 bits per row
+    if w < slot:
+        padded = np.zeros(bits.shape[:-1] + (slot,), dtype=bool)
+        padded[..., :w] = bits
+        bits = padded
+    # Each row is one slot of the flat bit run, and one long packbits run is
+    # far faster than many short rows along an axis.
+    words = np.packbits(bits, axis=None, bitorder="little").view(f"<u{slot // 8}")
+    return words.astype(_WORD, copy=False).reshape(bits.shape[:-1])
 
 
 def _rows_per_word(p: int) -> int:
@@ -291,10 +304,10 @@ def peak_displacement(plane: np.ndarray, window_index: int = 0) -> Displacement:
     return Displacement(dx[best], dy[best], ranked.item(best), window_index)
 
 
-def _split_windows(bits: np.ndarray, grid: WindowGrid) -> np.ndarray:
-    """(H, W) bool -> (rows, cols, ws, ws) view, indexed (window row, window col, y, x)."""
+def _split_windows(row_words: np.ndarray, grid: WindowGrid) -> np.ndarray:
+    """(H, cols) row words of a frame -> (ws, windows) rows, the window index last."""
     ws = grid.window_size
-    return bits.reshape(grid.rows, ws, grid.cols, ws).transpose(0, 2, 1, 3)
+    return row_words.reshape(grid.rows, ws, grid.cols).transpose(1, 0, 2).reshape(ws, grid.count)
 
 
 def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> VectorField:
@@ -311,11 +324,11 @@ def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> Vecto
     grid = tile_windows(frame1.width, frame1.height, cfg.window_size)
     w, p = cfg.window_size, cfg.pattern_size
     off = (w - p) // 2  # the centred pattern's top-left inside its window
-    search_wins = _split_windows(binarize_frame(frame1, cfg), grid)
-    pattern_wins = _split_windows(binarize_frame(frame2, cfg), grid)[..., off : off + p, off : off + p]
-    # (row, window): the window index is the contiguous axis of every correlator array
-    search_rows = _pack_window_rows(search_wins.transpose(2, 0, 1, 3)).reshape(w, grid.count)
-    pattern_rows = _pack_window_rows(pattern_wins.transpose(2, 0, 1, 3)).reshape(p, grid.count)
+    raster = (frame1.height, grid.cols, w)  # each image row split into its windows' rows
+    search_rows = _split_windows(_pack_window_rows(binarize_frame(frame1, cfg).reshape(raster)), grid)
+    frame2_rows = _split_windows(_pack_window_rows(binarize_frame(frame2, cfg).reshape(raster)), grid)
+    # The centred pattern: rows off..off+p of each window, bits off..off+p of each row.
+    pattern_rows = (frame2_rows[off : off + p] >> _WORD(off)) & _WORD((1 << p) - 1)
 
     vectors = []
     chunk = _chunk_windows(w, p)

@@ -43,11 +43,13 @@ class FlowSpec:
     def __post_init__(self):
         if self.kind not in _FLOW_FIELDS:
             raise ConfigError(f"unknown flow kind {self.kind!r}")
-        used = ("kind", *_FLOW_FIELDS[self.kind])
-        for f in fields(self):
+        used = _FLOW_FIELDS[self.kind]
+        for f in fields(self)[1:]:  # every field after kind is numeric
             value = getattr(self, f.name)
             if f.name not in used and not np.array_equal(value, f.default):
                 raise ConfigError(f"{self.kind} flow does not use {f.name}, got {value!r}")
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
     @classmethod
     def uniform(cls, dx: float, dy: float) -> "FlowSpec":
@@ -117,6 +119,8 @@ class RenderConfig:
             )
         if self.noise_amplitude < 0:
             raise ConfigError("noise amplitude must be >= 0")
+        if self.width <= 0 or self.height <= 0:
+            raise ConfigError(f"width and height must be positive, got {self.width}x{self.height}")
 
 
 def seed_particles(
@@ -128,8 +132,10 @@ def seed_particles(
     count is Poisson-distributed around the expectation, matching a uniform
     seeding process.
     """
-    if density <= 0:
-        raise ConfigError(f"density must be positive, got {density}")
+    if not (np.isfinite(density) and density > 0):
+        raise ConfigError(f"density must be a positive finite number, got {density!r}")
+    if width <= 0 or height <= 0:
+        raise ConfigError(f"width and height must be positive, got {width}x{height}")
     rng = np.random.default_rng(seed)
     expected = density * (width * height) / 1024.0
     n = int(rng.poisson(expected))

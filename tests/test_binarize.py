@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringpiv import (
     DimensionError,
@@ -99,3 +101,47 @@ def test_adaptive_thresholds_of_a_saturated_frame(ws):
     img = GrayImage.from_array(np.full((2 * ws, 2 * ws), 1023, dtype=np.uint16))
     thr = adaptive_thresholds(img, ws)
     np.testing.assert_array_equal(thr, np.full((2, 2), 1023))
+
+
+def per_window_mean_reference(data, cfg):
+    """(H, W) bool from int64 window sums and a 4-D broadcast, one threshold per window."""
+    if cfg.binarization == "global":
+        return data >= cfg.threshold
+    ws = cfg.window_size
+    h, w = data.shape
+    blocks = data.astype(np.int64).reshape(h // ws, ws, w // ws, ws)
+    area = ws * ws
+    mean = (2 * blocks.sum(axis=(1, 3)) + area) // (2 * area)  # rounded half up
+    return (blocks >= mean[:, None, :, None]).reshape(h, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ws=st.integers(1, 64),
+    tiles=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    binarization=st.sampled_from(["adaptive", "global"]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(ws=64, tiles=(2, 3), binarization="adaptive", seed=0)
+@example(ws=1, tiles=(3, 2), binarization="adaptive", seed=1)
+def test_binarize_equals_a_per_window_mean_reference(ws, tiles, binarization, seed):
+    rows, cols = tiles
+    rng = np.random.default_rng(seed)
+    levels = int(rng.choice([2, 3, 1024]))  # few levels put pixels exactly on the mean
+    data = rng.integers(0, levels, size=(rows * ws, cols * ws)) * (1023 // (levels - 1))
+    threshold = int(rng.integers(0, 1024)) if binarization == "global" else None
+    cfg = PivConfig(window_size=ws, pattern_size=1, binarization=binarization, threshold=threshold)
+    out = binarize_frame(GrayImage.from_array(data), cfg)
+    np.testing.assert_array_equal(out, per_window_mean_reference(data, cfg))
+
+
+def test_binarize_a_saturated_frame_at_the_largest_window():
+    # A window column of 64 pixels at 1023 sums to 65472, the top of the
+    # uint16 range it is summed in.  One pixel at 1022 stays below its
+    # window's mean of 1023, and would be set if a column sum wrapped.
+    data = np.full((128, 192), 1023, dtype=np.uint16)
+    data[70, 150] = 1022
+    cfg = PivConfig(window_size=64, pattern_size=64)
+    out = binarize_frame(GrayImage.from_array(data), cfg)
+    np.testing.assert_array_equal(out, per_window_mean_reference(data, cfg))
+    assert np.argwhere(~out).tolist() == [[70, 150]]

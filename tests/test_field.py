@@ -255,6 +255,22 @@ def test_correlate_memory_is_bounded_by_the_chunk_budget(monkeypatch, w, p, bina
     assert max(peaks) < 4 * piv._CHUNK_BYTES
 
 
+def test_compute_field_memory_on_a_2048_frame():
+    # The bool raster of one frame is 4 MiB; the packed row words of both
+    # frames and one correlate chunk add under 3 MiB more.
+    rng = np.random.default_rng(13)
+    a = rng.integers(0, 1024, size=(2048, 2048), dtype=np.uint16)
+    f1, f2 = GrayImage.from_array(a), GrayImage.from_array(np.roll(a, (2, -1), axis=(0, 1)))
+    del a
+    tracemalloc.start()
+    try:
+        compute_field(f1, f2, PivConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_vector_field_requires_its_vectors():
     with pytest.raises(TypeError):
         piv.VectorField(grid=tile_windows(32, 32, 32))

@@ -113,9 +113,12 @@ def test_pack_rows_equals_per_bit_reference():
     for w in range(1, 65):
         bits = rng.random((5, w)) < 0.5
         np.testing.assert_array_equal(_pack_window_rows(bits), reference_row_words(bits), f"w={w}")
-        # The strided views compute_field packs: the (rows, cols, w, w)
-        # windows of a frame and the centred pattern slice of them.
+        # Strided views: the (rows, cols, w, w) windows of a frame and the
+        # centred pattern slice of them.
         frame = rng.random((2 * w, 3 * w)) < 0.5
+        # The contiguous raster compute_field packs: each image row split into its windows' rows.
+        raster = frame.reshape(2 * w, 3, w)
+        np.testing.assert_array_equal(_pack_window_rows(raster), reference_row_words(raster), f"w={w}")
         windows = frame.reshape(2, w, 3, w).transpose(0, 2, 1, 3)
         np.testing.assert_array_equal(_pack_window_rows(windows), reference_row_words(windows), f"w={w}")
         p = max(1, w // 2)

@@ -38,6 +38,24 @@ def test_zero_density_rejected():
         seed_particles(320, 256, 0, seed=1)
 
 
+@pytest.mark.parametrize("density", [float("nan"), float("inf"), -1.0])
+def test_seeding_rejects_a_density_that_is_not_positive_and_finite(density):
+    with pytest.raises(ConfigError, match="density must be a positive finite number"):
+        seed_particles(320, 256, density, seed=1)
+
+
+@pytest.mark.parametrize("width, height", [(0, 256), (320, -1)])
+def test_seeding_rejects_a_frame_that_is_not_positive(width, height):
+    with pytest.raises(ConfigError, match="width and height must be positive"):
+        seed_particles(width, height, 10, seed=1)
+
+
+@pytest.mark.parametrize("kwargs", [{"width": 0}, {"height": -8}])
+def test_render_config_rejects_a_frame_that_is_not_positive(kwargs):
+    with pytest.raises(ConfigError, match="width and height must be positive"):
+        RenderConfig(**kwargs)
+
+
 @pytest.mark.parametrize("radius", [-2.0, 0.0, float("nan"), float("inf")])
 def test_particle_field_rejects_a_radius_that_is_not_positive_and_finite(radius):
     with pytest.raises(ConfigError, match="radius must be a positive finite number"):
@@ -78,6 +96,23 @@ def test_flow_rejects_a_field_its_kind_does_not_use(kwargs, unused):
         FlowSpec(**kwargs)
     # The same field left at its default is accepted.
     FlowSpec(**{**kwargs, unused: FlowSpec.__dataclass_fields__[unused].default})
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"kind": "uniform", "dx": float("nan")}, "dx"),
+        ({"kind": "uniform", "dx": 1.0, "dy": float("-inf")}, "dy"),
+        ({"kind": "shear", "rate": float("inf")}, "rate"),
+        ({"kind": "vortex", "center": (5.0, 5.0), "strength": float("nan")}, "strength"),
+        ({"kind": "vortex", "center": (float("nan"), 5.0), "strength": 0.1}, "center"),
+    ],
+    ids=["uniform-dx", "uniform-dy", "shear-rate", "vortex-strength", "vortex-center"],
+)
+def test_flow_rejects_a_field_that_is_not_finite(kwargs, name):
+    # A NaN displacement would otherwise move every particle out of frame 2.
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        FlowSpec(**kwargs)
 
 
 def test_flow_compares_an_unused_array_field_by_value():
