@@ -1,8 +1,8 @@
 """Image containers: 10-bit grayscale rasters and binary rasters.
 
 A BinaryImage is a read-only 2-D bool raster, one byte per pixel.  It is
-not on the ``compute_field`` path, which binarizes each frame to a plain
-(H, W) bool array with ``piv.binarize_frame``.
+not on the ``compute_field`` path, which binarizes each block of a frame
+to a plain bool array with ``piv.binarize_frame``.
 """
 
 from __future__ import annotations

@@ -19,30 +19,33 @@ raster coordinates (positive dx rightward, positive dy downward).
 
 Hot path
 --------
-``binarize_frame`` turns each frame into one (H, W) bool raster.  The
-adaptive threshold sums each window column over ws whole image rows in the
-uint16 of the pixels (64 * 1023 fits), then compares each band of ws rows
-against its thresholds repeated to one image-wide row.
+One block is the unit of work: a run of at most n = ``_chunk_windows(w,
+p)`` windows in row-major order, n // cols whole window rows (at least
+one), or n windows of one row when a row holds more than n.  Each block of
+both frames runs the whole pipeline below, so memory is bounded by one
+block whatever the frame size.  ``binarize_frame`` turns a block's pixels
+into a bool array.  The adaptive threshold sums each window column over ws
+rows in the uint16 of the pixels (64 * 1023 fits), then compares each band
+of ws rows against its thresholds repeated to one block-wide row.
 ``_pack_window_rows`` is the one packer: each row of w bools takes the
 smallest 8/16/32/64-bit slot that holds it (padded only when w is not a
 slot size), one flat ``np.packbits`` run packs all of them, and each slot
 is widened to a uint64 row word: bit x is column x, upper bits zero, one
-format for every w <= 64.  ``compute_field`` packs each frame's row-major
-raster as (H, cols, w) without a copy, and ``_split_windows`` transposes
-those (H, cols) row words into (w, windows) window rows.  The centred
-pattern is derived from frame 2's window rows by shift and mask, so there
-is no second packing pass.  The window index is the last, contiguous axis
-of every correlator array, and each numpy pass runs over a whole chunk of
+format for every w <= 64.  ``compute_field`` packs a block's bools as
+(h, cols, w) without a copy, and ``_split_windows`` transposes those
+(h, cols) row words into (w, windows) window rows.  The centred pattern is
+derived from frame 2's window rows by shift and mask, so there is no
+second packing pass.  The window index is the last, contiguous axis of
+every correlator array, and each numpy pass runs over a whole block of
 windows in lock-step.  The correlator
 packs k = min(64 // p, p) consecutive pattern rows into one word, row j of
 a group in bits [j*p, j*p + p), so a placement takes ceil(p / k) XOR +
 popcounts instead of p (k = 1 for p > 32).  The search word of each
 (start row, ix) is built once and shared by every group and iy starting
 there; for k = 1 it is the row slice itself.  Only a partial last group
-(fewer than k rows) is masked to its lanes.  A chunk holds as many windows
-as keep its (w + pad, s, windows) slice buffer within ``_CHUNK_BYTES``, so
-one call's memory is bounded whatever the frame size.  Correlate time per
-window by budget (us, windows per chunk in brackets, median of 15
+(fewer than k rows) is masked to its lanes.  n is the most windows whose
+(w + pad, s, windows) slice buffer fits ``_CHUNK_BYTES``.  Correlate time
+per window by budget (us, windows per call in brackets, median of 15
 interleaved rounds, one thread, 2-CPU Intel Xeon):
 
     budget               256 KiB     512 KiB     1 MiB       2 MiB
@@ -84,15 +87,6 @@ class WindowGrid:
     @property
     def count(self) -> int:
         return self.cols * self.rows
-
-    def origin(self, index: int) -> tuple[int, int]:
-        wy, wx = divmod(index, self.cols)
-        return wx * self.window_size, wy * self.window_size
-
-    def center(self, index: int) -> tuple[float, float]:
-        x0, y0 = self.origin(index)
-        half = self.window_size / 2.0
-        return x0 + half, y0 + half
 
 
 def tile_windows(width: int, height: int, window_size: int) -> WindowGrid:
@@ -181,14 +175,14 @@ class VectorField:
             )
 
 
-def adaptive_thresholds(img: GrayImage, window_size: int) -> np.ndarray:
-    """Mean intensity of each window_size tile, rounded half up; (rows, cols) int64."""
-    grid = tile_windows(img.width, img.height, window_size)
+def adaptive_thresholds(data: np.ndarray, window_size: int) -> np.ndarray:
+    """Mean of each window_size tile of (h, W) uint16 pixels, rounded half up; (rows, cols) int64."""
+    grid = tile_windows(data.shape[1], data.shape[0], window_size)
     ws = window_size
-    # Each window column summed over ws whole image rows first.  The sum is
-    # at most ws * 1023: the pixels' own uint16, with no cast, up to ws = 64.
+    # Each window column summed over ws whole rows first.  The sum is at most
+    # ws * 1023: the pixels' own uint16, with no cast, up to ws = 64.
     sums = (
-        img.data.reshape(grid.rows, ws, img.width)
+        data.reshape(grid.rows, ws, data.shape[1])
         .sum(axis=1, dtype=np.min_scalar_type(ws * 1023))
         .reshape(grid.rows, grid.cols, ws)
         .sum(axis=2, dtype=np.int64)
@@ -197,16 +191,16 @@ def adaptive_thresholds(img: GrayImage, window_size: int) -> np.ndarray:
     return (2 * sums + area) // (2 * area)
 
 
-def binarize_frame(img: GrayImage, cfg: PivConfig) -> np.ndarray:
-    """(H, W) bool: pixel >= cfg.threshold ("global") or >= its window's mean ("adaptive")."""
+def binarize_frame(data: np.ndarray, cfg: PivConfig) -> np.ndarray:
+    """(h, W) uint16 pixels -> bool: >= cfg.threshold ("global") or >= its window's mean ("adaptive")."""
     if cfg.binarization == "global":
-        return img.data >= cfg.threshold
+        return data >= cfg.threshold
     ws = cfg.window_size
     # One threshold per pixel column of each band of ws rows: every compare
-    # runs the whole image width.
-    thr = np.repeat(adaptive_thresholds(img, ws).astype(np.uint16), ws, axis=1)
-    bands = img.data.reshape(thr.shape[0], ws, img.width)
-    return (bands >= thr[:, None, :]).reshape(img.height, img.width)
+    # runs the whole width.
+    thr = np.repeat(adaptive_thresholds(data, ws).astype(np.uint16), ws, axis=1)
+    bands = data.reshape(thr.shape[0], ws, data.shape[1])
+    return (bands >= thr[:, None, :]).reshape(data.shape)
 
 
 def _pack_window_rows(bits: np.ndarray) -> np.ndarray:
@@ -304,18 +298,21 @@ def peak_displacement(plane: np.ndarray, window_index: int = 0) -> Displacement:
     return Displacement(dx[best], dy[best], ranked.item(best), window_index)
 
 
-def _split_windows(row_words: np.ndarray, grid: WindowGrid) -> np.ndarray:
-    """(H, cols) row words of a frame -> (ws, windows) rows, the window index last."""
-    ws = grid.window_size
-    return row_words.reshape(grid.rows, ws, grid.cols).transpose(1, 0, 2).reshape(ws, grid.count)
+def _split_windows(row_words: np.ndarray, ws: int) -> np.ndarray:
+    """(h, cols) row words of a block of whole windows -> (ws, windows) rows, the window index last."""
+    h, cols = row_words.shape
+    return row_words.reshape(h // ws, ws, cols).transpose(1, 0, 2).reshape(ws, -1)
 
 
 def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> VectorField:
     """Full-field PIV: one displacement per interrogation window.
 
-    Both frames are binarized per the config; the centered pattern of each
-    frame-2 window is correlated (XNOR sum) against the matching frame-1
-    window.  Deterministic; windows are independent.
+    The frames are cut into blocks of at most ``_chunk_windows`` windows in
+    row-major order: whole window rows, or part of one row when a row holds
+    more.  Each block of both frames is binarized per the config, and the
+    centred pattern of each frame-2 window is correlated (XNOR sum) against
+    the matching frame-1 window.  Memory is bounded by one block, not by the
+    frame.  Deterministic; windows are independent.
     """
     if (frame1.width, frame1.height) != (frame2.width, frame2.height):
         raise DimensionError(
@@ -324,16 +321,19 @@ def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> Vecto
     grid = tile_windows(frame1.width, frame1.height, cfg.window_size)
     w, p = cfg.window_size, cfg.pattern_size
     off = (w - p) // 2  # the centred pattern's top-left inside its window
-    raster = (frame1.height, grid.cols, w)  # each image row split into its windows' rows
-    search_rows = _split_windows(_pack_window_rows(binarize_frame(frame1, cfg).reshape(raster)), grid)
-    frame2_rows = _split_windows(_pack_window_rows(binarize_frame(frame2, cfg).reshape(raster)), grid)
-    # The centred pattern: rows off..off+p of each window, bits off..off+p of each row.
-    pattern_rows = (frame2_rows[off : off + p] >> _WORD(off)) & _WORD((1 << p) - 1)
+    n = _chunk_windows(w, p)
+    bw, bh = min(grid.cols, n) * w, max(1, n // grid.cols) * w  # one block's pixels
 
     vectors = []
-    chunk = _chunk_windows(w, p)
-    for start in range(0, grid.count, chunk):
-        stop = start + chunk
-        planes = _packed_xcorr_batch(search_rows[:, start:stop], pattern_rows[:, start:stop], w, p)
-        vectors += [peak_displacement(plane, start + i) for i, plane in enumerate(planes)]
+    for y in range(0, frame1.height, bh):
+        for x in range(0, frame1.width, bw):
+            # Each image row of the block split into its windows' rows, packed, then transposed.
+            search_rows, frame2_rows = (
+                _split_windows(_pack_window_rows(bits.reshape(len(bits), -1, w)), w)
+                for bits in (binarize_frame(f.data[y : y + bh, x : x + bw], cfg) for f in (frame1, frame2))
+            )
+            # The centred pattern: rows off..off+p of each window, bits off..off+p of each row.
+            pattern_rows = (frame2_rows[off : off + p] >> _WORD(off)) & _WORD((1 << p) - 1)
+            planes = _packed_xcorr_batch(search_rows, pattern_rows, w, p)
+            vectors += [peak_displacement(plane, i) for i, plane in enumerate(planes, len(vectors))]
     return VectorField(grid=grid, vectors=vectors)

@@ -86,13 +86,28 @@ class ParticleField:
     def __post_init__(self):
         if not (isinstance(self.radius, numbers.Real) and np.isfinite(self.radius) and self.radius > 0):
             raise ConfigError(f"radius must be a positive finite number, got {self.radius!r}")
-        # Its own read-only copy, so the caller's array stays writable and cannot change the field.
-        object.__setattr__(self, "positions", np.array(self.positions, dtype=float))
-        self.positions.setflags(write=False)
+        try:
+            # Its own read-only copy, so the caller's array stays writable and cannot change the field.
+            positions = np.array(self.positions, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"positions must be numeric: {exc}") from None
+        if positions.ndim != 2 or positions.shape[1] != 2:
+            raise ConfigError(f"positions must be an (n, 2) array, got shape {positions.shape}")
+        if not np.isfinite(positions).all():
+            raise ConfigError("positions must be finite")
+        positions.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
 
     @property
     def count(self) -> int:
         return len(self.positions)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; a bool or a non-integer raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -107,10 +122,7 @@ class RenderConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            object.__setattr__(self, f.name, int(value))
+            object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name)))
         if not (0 <= self.background <= MAX_INTENSITY):
             raise ConfigError(f"background {self.background} outside 0..{MAX_INTENSITY}")
         if not (0 <= self.particle_intensity <= MAX_INTENSITY):
@@ -132,6 +144,9 @@ def seed_particles(
     count is Poisson-distributed around the expectation, matching a uniform
     seeding process.
     """
+    width, height = _integer("width", width), _integer("height", height)
+    if isinstance(density, bool) or not isinstance(density, numbers.Real):
+        raise ConfigError(f"density must be a number, got {density!r}")
     if not (np.isfinite(density) and density > 0):
         raise ConfigError(f"density must be a positive finite number, got {density!r}")
     if width <= 0 or height <= 0:

@@ -62,7 +62,9 @@ def test_uniform_translation_recovered_on_synthetic_pair():
 def test_varying_flow_recovered_at_window_centres(flow):
     f1, f2 = render_pair(seed_particles(320, 256, density=10, seed=42), flow, RenderConfig())
     result = compute_field(f1, f2, PivConfig())
-    centres = np.array([result.grid.center(i) for i in range(result.grid.count)])
+    grid = result.grid
+    wy, wx = np.divmod(np.arange(grid.count), grid.cols)
+    centres = (np.column_stack([wx, wy]) + 0.5) * grid.window_size
     ux, uy = flow.displacement_at(centres[:, 0], centres[:, 1])
     got = np.array([(v.dx, v.dy) for v in result.vectors])
     hits = np.count_nonzero((np.abs(got - np.column_stack([ux, uy])) <= 1).all(axis=1))
@@ -133,12 +135,13 @@ def per_window_vectors(f1, f2, cfg):
     """
     w, p = cfg.window_size, cfg.pattern_size
     grid = tile_windows(f1.width, f1.height, w)
-    b1 = binarize_frame(f1, cfg)
-    b2 = binarize_frame(f2, cfg)
+    b1 = binarize_frame(f1.data, cfg)
+    b2 = binarize_frame(f2.data, cfg)
     off = (w - p) // 2
     vectors = []
     for idx in range(grid.count):
-        x0, y0 = grid.origin(idx)
+        wy, wx = divmod(idx, grid.cols)
+        x0, y0 = wx * w, wy * w
         search = b1[y0 : y0 + w, x0 : x0 + w]
         pattern = b2[y0 + off : y0 + off + p, x0 + off : x0 + off + p]
         vectors.append((*lexsort_peak(xnor_plane(search, pattern), off), idx))
@@ -183,16 +186,15 @@ def test_field_matches_per_window_path_over_random_geometry(sizes, tiles, binari
     assert got == per_window_vectors(f1, f2, cfg)
 
 
-def chunk_boundary_vectors(w, p, extra):
-    """compute_field and the per-window path on a one-row frame of chunk + extra windows."""
-    count = piv._chunk_windows(w, p) + extra
-    rng = np.random.default_rng(count)
-    a = rng.integers(0, 1024, size=(w, w * count))
+def chunk_boundary_vectors(w, p, cols, rows=1):
+    """compute_field and the per-window path on a frame of rows x cols windows."""
+    rng = np.random.default_rng(cols)
+    a = rng.integers(0, 1024, size=(rows * w, cols * w))
     b = np.roll(a, (1, -2), axis=(0, 1))
     f1, f2 = GrayImage.from_array(a), GrayImage.from_array(b)
     cfg = PivConfig(window_size=w, pattern_size=p)
     out = compute_field(f1, f2, cfg)
-    assert out.grid.count == count
+    assert out.grid.count == rows * cols
     got = [(v.dx, v.dy, v.peak_value, v.window_index) for v in out.vectors]
     return got, per_window_vectors(f1, f2, cfg)
 
@@ -201,15 +203,38 @@ def chunk_boundary_vectors(w, p, extra):
 def test_field_matches_per_window_path_at_the_chunk_boundary(extra):
     # One window short of a full chunk, one full chunk, a full chunk and one
     # window; 8/5 packs k = 5 pattern rows per word.
-    got, expected = chunk_boundary_vectors(8, 5, extra)
+    got, expected = chunk_boundary_vectors(8, 5, piv._chunk_windows(8, 5) + extra)
     assert got == expected
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["one-short", "exact", "one-over"])
 def test_field_matches_per_window_path_at_a_one_row_per_word_chunk_boundary(extra):
     # p > 32: k = 1, so the search words are the row slices themselves.
-    got, expected = chunk_boundary_vectors(64, 40, extra)
+    got, expected = chunk_boundary_vectors(64, 40, piv._chunk_windows(64, 40) + extra)
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "w, p, rows, cols",
+    [(8, 5, 2, 4097), (64, 40, 2, 82), (8, 5, 9, 1000), (64, 40, 3, 40)],
+    ids=["8-5-split-rows", "64-40-split-rows", "8-5-whole-rows", "64-40-whole-rows"],
+)
+def test_field_matches_per_window_path_over_block_boundaries(monkeypatch, w, p, rows, cols):
+    # A row one window wider than a block (8/5 and 64/40 blocks hold 4096 and
+    # 81 windows) is split in two; otherwise a block is 4 or 2 whole rows,
+    # and the last block is shorter.
+    correlate = piv._packed_xcorr_batch
+    sizes = []
+
+    def spy(search_rows, pattern_rows, w, p):
+        sizes.append(search_rows.shape[1])
+        return correlate(search_rows, pattern_rows, w, p)
+
+    monkeypatch.setattr(piv, "_packed_xcorr_batch", spy)
+    got, expected = chunk_boundary_vectors(w, p, cols, rows)
+    assert got == expected
+    assert sum(sizes) == rows * cols
+    assert max(sizes) <= piv._chunk_windows(w, p)
 
 
 def test_chunk_is_the_most_windows_whose_slice_buffer_fits_the_budget():
@@ -260,6 +285,22 @@ def test_compute_field_memory_on_a_2048_frame():
     # frames and one correlate chunk add under 3 MiB more.
     rng = np.random.default_rng(13)
     a = rng.integers(0, 1024, size=(2048, 2048), dtype=np.uint16)
+    f1, f2 = GrayImage.from_array(a), GrayImage.from_array(np.roll(a, (2, -1), axis=(0, 1)))
+    del a
+    tracemalloc.start()
+    try:
+        compute_field(f1, f2, PivConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_compute_field_memory_on_a_4096_frame():
+    # Four times the pixels of the 2048 frame under the same bound: memory
+    # is one block's, not the frame's.
+    rng = np.random.default_rng(14)
+    a = rng.integers(0, 1024, size=(4096, 4096), dtype=np.uint16)
     f1, f2 = GrayImage.from_array(a), GrayImage.from_array(np.roll(a, (2, -1), axis=(0, 1)))
     del a
     tracemalloc.start()

@@ -50,6 +50,43 @@ def test_seeding_rejects_a_frame_that_is_not_positive(width, height):
         seed_particles(width, height, 10, seed=1)
 
 
+@pytest.mark.parametrize(
+    "width, height, name",
+    [(32.5, 32, "width"), (True, 32, "width"), (32, 32.0, "height"), (32, "32", "height")],
+)
+def test_seeding_rejects_a_frame_size_that_is_not_an_integer(width, height, name):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        seed_particles(width, height, 10, seed=0)
+
+
+@pytest.mark.parametrize("density", ["10", None, True])
+def test_seeding_rejects_a_density_that_is_not_a_number(density):
+    with pytest.raises(ConfigError, match="density must be a number"):
+        seed_particles(32, 32, density, seed=0)
+
+
+def test_seeding_accepts_numpy_numbers():
+    f = seed_particles(np.int64(64), np.uint16(32), np.float32(10), seed=0)
+    assert f.positions.shape[1] == 2 and f.count > 0
+
+
+@pytest.mark.parametrize(
+    "positions, message",
+    [
+        (np.zeros((3, 3)), r"\(n, 2\) array, got shape \(3, 3\)"),
+        (np.zeros(4), r"\(n, 2\) array, got shape \(4,\)"),
+        (np.zeros((2, 2, 2)), r"\(n, 2\) array, got shape \(2, 2, 2\)"),
+        (np.array([[1.0, 2.0], [np.nan, 3.0]]), "positions must be finite"),
+        (np.array([[1.0, np.inf]]), "positions must be finite"),
+        ([["a", "b"]], "positions must be numeric"),
+    ],
+    ids=["three-columns", "1-d", "3-d", "nan", "inf", "strings"],
+)
+def test_particle_field_rejects_positions_that_are_not_a_finite_n_by_2_array(positions, message):
+    with pytest.raises(ConfigError, match=message):
+        ParticleField(positions=positions, radius=1.0, seed=0)
+
+
 @pytest.mark.parametrize("kwargs", [{"width": 0}, {"height": -8}])
 def test_render_config_rejects_a_frame_that_is_not_positive(kwargs):
     with pytest.raises(ConfigError, match="width and height must be positive"):
