@@ -1,4 +1,9 @@
-"""Binary cross-correlation PIV: 10-bit frame pairs to one integer displacement per window."""
+"""Binary cross-correlation PIV: 10-bit frame pairs to one integer displacement per window.
+
+``import ringpiv`` loads only the pipeline.  The synthetic-frame generator
+and the PGM reader are imported on their own: ``ringpiv.synth`` and
+``ringpiv.pgm``.
+"""
 
 from .errors import (
     ConfigError,
@@ -16,27 +21,20 @@ from .piv import (
     peak_displacement,
     tile_windows,
 )
-from .synth import FlowSpec, ParticleField, RenderConfig, advect, render_pair, seed_particles
 
 __all__ = [
     "BinaryImage",
     "ConfigError",
     "DimensionError",
     "Displacement",
-    "FlowSpec",
     "GrayImage",
     "InputFormatError",
     "MAX_INTENSITY",
-    "ParticleField",
     "PivConfig",
-    "RenderConfig",
     "RingPivError",
     "VectorField",
     "WindowGrid",
-    "advect",
     "compute_field",
     "peak_displacement",
-    "render_pair",
-    "seed_particles",
     "tile_windows",
 ]

@@ -1,13 +1,13 @@
 """Image containers: 10-bit grayscale rasters and binary rasters.
 
-A BinaryImage is a read-only 2-D bool raster, one byte per pixel.  It is
-not on the ``compute_field`` path, which binarizes each block of a frame
-to a plain bool array with ``piv.binarize_frame``.
+Both are read-only records built by their constructors, which run every
+check; ``_ReadOnly`` is the small base they share with ``PivConfig`` and
+``VectorField``.  A BinaryImage is a read-only 2-D bool raster, one byte
+per pixel.  It is not on the ``compute_field`` path, which binarizes each
+block of a frame to a plain bool array with ``piv.binarize_frame``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,29 +16,64 @@ from .errors import DimensionError, InputFormatError
 MAX_INTENSITY = 1023  # 10-bit sensor ceiling
 
 
-@dataclass(frozen=True, eq=False)
-class GrayImage:
+class _ReadOnly:
+    """Fields listed in ``__slots__``, set once by ``__init__``; compared by value.
+
+    Pickling and copying replay the constructor call, so its checks run again.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class GrayImage(_ReadOnly):
     """Read-only grayscale raster with 10-bit intensities; ``data[y, x]`` is pixel (x, y).
 
     ``==`` is identity; compare contents with ``np.array_equal(a.data, b.data)``.
     """
 
-    data: np.ndarray  # shape (height, width), uint16
+    __slots__ = ("data",)  # shape (height, width), uint16
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if self.data.ndim != 2 or self.data.size == 0:
-            raise DimensionError(f"expected a non-empty 2-D array, got shape {self.data.shape}")
-        if not np.issubdtype(self.data.dtype, np.integer):
-            raise InputFormatError(f"intensities must be integers, got dtype {self.data.dtype}")
-        if np.issubdtype(self.data.dtype, np.signedinteger) and int(self.data.min()) < 0:
-            raise InputFormatError(f"intensity {int(self.data.min())} is negative")
-        if int(self.data.max()) > MAX_INTENSITY:
-            raise InputFormatError(
-                f"intensity {int(self.data.max())} exceeds 10-bit maximum {MAX_INTENSITY}"
-            )
+    def __init__(self, data: np.ndarray):
+        if not isinstance(data, np.ndarray):
+            raise InputFormatError(f"data must be a numpy array, got {type(data).__name__}; see from_array")
+        if data.ndim != 2 or data.size == 0:
+            raise DimensionError(f"expected a non-empty 2-D array, got shape {data.shape}")
+        if not np.issubdtype(data.dtype, np.integer):
+            raise InputFormatError(f"intensities must be integers, got dtype {data.dtype}")
+        if np.issubdtype(data.dtype, np.signedinteger) and int(data.min()) < 0:
+            raise InputFormatError(f"intensity {int(data.min())} is negative")
+        if int(data.max()) > MAX_INTENSITY:
+            raise InputFormatError(f"intensity {int(data.max())} exceeds 10-bit maximum {MAX_INTENSITY}")
         # Its own copy, so the caller's array stays writable and cannot change the image.
-        object.__setattr__(self, "data", np.array(self.data, dtype=np.uint16))
-        self.data.setflags(write=False)
+        data = np.array(data, dtype=np.uint16)
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
 
     @property
     def width(self) -> int:
@@ -54,23 +89,26 @@ class GrayImage:
         return cls(data=np.asarray(arr))
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryImage:
+class BinaryImage(_ReadOnly):
     """Read-only binary raster; ``bits[y, x]`` is pixel (x, y).
 
     ``==`` is identity; compare contents with ``np.array_equal(a.bits, b.bits)``.
     """
 
-    bits: np.ndarray  # shape (height, width), bool
+    __slots__ = ("bits",)  # shape (height, width), bool
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if self.bits.dtype != bool or self.bits.ndim != 2 or self.bits.size == 0:
+    def __init__(self, bits: np.ndarray):
+        if not isinstance(bits, np.ndarray):
+            raise InputFormatError(f"bits must be a numpy array, got {type(bits).__name__}; see from_bool")
+        if bits.dtype != bool or bits.ndim != 2 or bits.size == 0:
             raise DimensionError(
-                f"expected a non-empty 2-D bool array, got {self.bits.dtype} of shape {self.bits.shape}"
+                f"expected a non-empty 2-D bool array, got {bits.dtype} of shape {bits.shape}"
             )
-        # Its own copy, so the caller's array stays writable and cannot change the image.
-        object.__setattr__(self, "bits", np.array(self.bits, dtype=bool))
-        self.bits.setflags(write=False)
+        bits = np.array(bits, dtype=bool)  # its own copy, as in GrayImage
+        bits.setflags(write=False)
+        object.__setattr__(self, "bits", bits)
 
     @property
     def width(self) -> int:

@@ -17,6 +17,14 @@ shape alone fixes it.  A placement (iy, ix) maps to
 so that (dx, dy) is the motion of particles from frame 1 to frame 2 in
 raster coordinates (positive dx rightward, positive dy downward).
 
+Records
+-------
+``WindowGrid`` and ``Displacement`` are ``NamedTuple``s; ``PivConfig`` and
+``VectorField`` are read-only ``__slots__`` classes on ``images._ReadOnly``,
+compared by value, whose pickles and copies re-run ``__init__``.  None is a
+dataclass: the code generation of ``dataclasses`` would be paid on every
+``import ringpiv``, which a one-shot run waits for.
+
 Hot path
 --------
 One block is the unit of work: a run of at most n = ``_chunk_windows(w,
@@ -63,21 +71,19 @@ winner.
 from __future__ import annotations
 
 import functools
-import numbers
-from dataclasses import dataclass
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .images import GrayImage
+from .images import GrayImage, _ReadOnly
 
 _WORD = np.uint64
 _CHUNK_BYTES = 1 << 20  # one correlate call's slice buffer, see _chunk_windows
 
 
-@dataclass(frozen=True)
-class WindowGrid:
+class WindowGrid(NamedTuple):
     """Non-overlapping tiling of an image into square interrogation windows."""
 
     window_size: int
@@ -89,14 +95,33 @@ class WindowGrid:
         return self.cols * self.rows
 
 
+def _integer(name: str, value, error: type[Exception] = ConfigError) -> int:
+    """``value`` as an ``int``; a bool or a non-integer raises ``error``.
+
+    ``operator.index`` takes Python and numpy integers (and 0-d integer
+    arrays) and is far cheaper than ``isinstance(value, numbers.Integral)``;
+    ``tile_windows`` runs it on every block.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _size(name: str, value, error: type[Exception]) -> int:
+    """``value`` as a positive ``int``; a bool, a non-integer or a value <= 0 raises ``error``."""
+    value = _integer(name, value, error)
+    if value <= 0:
+        raise error(f"{name} {value} must be positive")
+    return value
+
+
 def tile_windows(width: int, height: int, window_size: int) -> WindowGrid:
-    """Tile a width x height image into disjoint square windows."""
-    if window_size <= 0:
-        raise ConfigError(f"window_size must be positive, got {window_size}")
-    if width <= 0:
-        raise DimensionError(f"width {width} must be positive")
-    if height <= 0:
-        raise DimensionError(f"height {height} must be positive")
+    """Tile a width x height image into disjoint square windows; sizes are integers, bools rejected."""
+    window_size = _size("window_size", window_size, ConfigError)
+    width, height = _size("width", width, DimensionError), _size("height", height, DimensionError)
     if width % window_size:
         raise DimensionError(f"width {width} is not divisible by window size {window_size}")
     if height % window_size:
@@ -104,8 +129,7 @@ def tile_windows(width: int, height: int, window_size: int) -> WindowGrid:
     return WindowGrid(window_size=window_size, cols=width // window_size, rows=height // window_size)
 
 
-@dataclass(frozen=True)
-class PivConfig:
+class PivConfig(_ReadOnly):
     """Parameters of the correlation pipeline.
 
     ``binarization`` is either "adaptive" (per-window mean threshold) or
@@ -113,38 +137,39 @@ class PivConfig:
     required; adaptive mode takes none).  Equal correlation peaks go to the
     smallest dx^2 + dy^2, then to the first in row-major plane order.  Sizes
     and the threshold must be integers; numpy integers are stored as ``int``.
+    Read-only, compared and hashed by value.
     """
 
-    window_size: int = 32
-    pattern_size: int = 16
-    binarization: str = "adaptive"
-    threshold: int | None = None
+    __slots__ = ("window_size", "pattern_size", "binarization", "threshold")
 
-    def __post_init__(self):
-        for name in ("window_size", "pattern_size", "threshold"):
-            value = getattr(self, name)
-            if value is None and name == "threshold":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.window_size <= 0 or self.pattern_size <= 0:
+    def __init__(
+        self,
+        window_size: int = 32,
+        pattern_size: int = 16,
+        binarization: str = "adaptive",
+        threshold: int | None = None,
+    ):
+        window_size = _integer("window_size", window_size)
+        pattern_size = _integer("pattern_size", pattern_size)
+        if threshold is not None:
+            threshold = _integer("threshold", threshold)
+        if window_size <= 0 or pattern_size <= 0:
             raise ConfigError("window_size and pattern_size must be positive")
-        if self.pattern_size > self.window_size:
-            raise ConfigError(
-                f"pattern_size {self.pattern_size} exceeds window_size {self.window_size}"
-            )
-        if self.window_size > 64:
+        if pattern_size > window_size:
+            raise ConfigError(f"pattern_size {pattern_size} exceeds window_size {window_size}")
+        if window_size > 64:
             raise ConfigError("window_size above 64 is not supported by the packed correlator")
-        if self.binarization not in ("adaptive", "global"):
-            raise ConfigError(f"unknown binarization mode {self.binarization!r}")
-        if self.binarization == "adaptive":
-            if self.threshold is not None:
-                raise ConfigError(f"adaptive binarization takes no threshold, got {self.threshold}")
-        elif self.threshold is None:
+        if binarization not in ("adaptive", "global"):
+            raise ConfigError(f"unknown binarization mode {binarization!r}")
+        if binarization == "adaptive":
+            if threshold is not None:
+                raise ConfigError(f"adaptive binarization takes no threshold, got {threshold}")
+        elif threshold is None:
             raise ConfigError("global binarization requires a threshold")
-        elif not (0 <= self.threshold <= 1023):
-            raise ConfigError(f"threshold {self.threshold} outside 0..1023")
+        elif not (0 <= threshold <= 1023):
+            raise ConfigError(f"threshold {threshold} outside 0..1023")
+        for name, value in zip(self.__slots__, (window_size, pattern_size, binarization, threshold)):
+            object.__setattr__(self, name, value)
 
 
 class Displacement(NamedTuple):
@@ -161,18 +186,16 @@ class Displacement(NamedTuple):
     window_index: int = 0
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """One ``Displacement`` per window of ``grid``, in window order."""
+class VectorField(_ReadOnly):
+    """One ``Displacement`` per window of ``grid``, in window order; read-only, compared by value."""
 
-    grid: WindowGrid
-    vectors: list[Displacement]
+    __slots__ = ("grid", "vectors")
 
-    def __post_init__(self):
-        if len(self.vectors) != self.grid.count:
-            raise DimensionError(
-                f"{len(self.vectors)} vectors for {self.grid.count} windows"
-            )
+    def __init__(self, grid: WindowGrid, vectors: list[Displacement]):
+        if len(vectors) != grid.count:
+            raise DimensionError(f"{len(vectors)} vectors for {grid.count} windows")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "vectors", vectors)
 
 
 def adaptive_thresholds(data: np.ndarray, window_size: int) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .images import MAX_INTENSITY, GrayImage
+from .piv import _integer
 
 _NOISE_SEED_SALT = 0x5EED_0F_0123
 _FLOW_FIELDS = {"uniform": ("dx", "dy"), "shear": ("rate",), "vortex": ("center", "strength")}
@@ -84,8 +85,10 @@ class ParticleField:
     seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.radius, numbers.Real) and np.isfinite(self.radius) and self.radius > 0):
-            raise ConfigError(f"radius must be a positive finite number, got {self.radius!r}")
+        r = self.radius
+        if isinstance(r, bool) or not (isinstance(r, numbers.Real) and np.isfinite(r) and r > 0):
+            raise ConfigError(f"radius must be a positive finite number, got {r!r}")
+        object.__setattr__(self, "seed", _seed(self.seed))
         try:
             # Its own read-only copy, so the caller's array stays writable and cannot change the field.
             positions = np.array(self.positions, dtype=float)
@@ -103,11 +106,12 @@ class ParticleField:
         return len(self.positions)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``; a bool or a non-integer raises ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _seed(value) -> int:
+    """``value`` as an ``int`` seed; a bool, a non-integer or a negative value raises ConfigError."""
+    seed = _integer("seed", value)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,7 @@ def seed_particles(
         raise ConfigError(f"density must be a positive finite number, got {density!r}")
     if width <= 0 or height <= 0:
         raise ConfigError(f"width and height must be positive, got {width}x{height}")
+    seed = _seed(seed)
     rng = np.random.default_rng(seed)
     expected = density * (width * height) / 1024.0
     n = int(rng.poisson(expected))

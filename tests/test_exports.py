@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import ringpiv
 
 
@@ -5,3 +10,17 @@ def test_every_exported_name_resolves_once():
     assert len(ringpiv.__all__) == len(set(ringpiv.__all__))
     missing = [name for name in ringpiv.__all__ if not hasattr(ringpiv, name)]
     assert missing == []
+
+
+def test_import_loads_only_the_pipeline():
+    """``import ringpiv`` pays for no dataclass machinery, no frame generator and no PGM reader."""
+    code = (
+        "import sys, numpy; before = set(sys.modules); import ringpiv; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(ringpiv.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "ringpiv.piv" in loaded
+    assert loaded.isdisjoint({"dataclasses", "ringpiv.synth", "ringpiv.pgm"})

@@ -6,19 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import lexsort_peak, xnor_plane
-from ringpiv import (
-    ConfigError,
-    DimensionError,
-    FlowSpec,
-    GrayImage,
-    PivConfig,
-    RenderConfig,
-    compute_field,
-    render_pair,
-    seed_particles,
-)
+from ringpiv import ConfigError, DimensionError, GrayImage, PivConfig, compute_field
 from ringpiv import piv
 from ringpiv.piv import binarize_frame, tile_windows
+from ringpiv.synth import FlowSpec, RenderConfig, render_pair, seed_particles
 
 
 def test_identical_frames_give_zero_field():

@@ -29,6 +29,20 @@ def test_gray_rejects_non_integer_and_negative(values, message):
         GrayImage(data=data)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: GrayImage(data=[[1, 2]]), "data must be a numpy array, got list"),
+        (lambda: GrayImage(data="x"), "data must be a numpy array, got str"),
+        (lambda: BinaryImage(bits=[[True]]), "bits must be a numpy array, got list"),
+    ],
+    ids=["gray-list", "gray-str", "binary-list"],
+)
+def test_constructors_reject_what_is_not_an_array(make, message):
+    with pytest.raises(InputFormatError, match=message):
+        make()
+
+
 def test_gray_rejects_non_2d_and_empty():
     with pytest.raises(DimensionError, match="non-empty 2-D"):
         GrayImage(data=np.zeros(16, dtype=np.uint16))

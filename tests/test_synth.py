@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from ringpiv import (
-    ConfigError,
+from ringpiv import ConfigError, PivConfig, compute_field
+from ringpiv.synth import (
     FlowSpec,
-    PivConfig,
+    ParticleField,
     RenderConfig,
     advect,
-    compute_field,
+    render,
     render_pair,
     seed_particles,
 )
-from ringpiv.synth import ParticleField, render
 
 
 def test_seeding_deterministic():
@@ -93,10 +92,37 @@ def test_render_config_rejects_a_frame_that_is_not_positive(kwargs):
         RenderConfig(**kwargs)
 
 
-@pytest.mark.parametrize("radius", [-2.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("radius", [-2.0, 0.0, float("nan"), float("inf"), True])
 def test_particle_field_rejects_a_radius_that_is_not_positive_and_finite(radius):
     with pytest.raises(ConfigError, match="radius must be a positive finite number"):
         seed_particles(64, 64, 10, seed=1, radius=radius)
+    with pytest.raises(ConfigError, match="radius must be a positive finite number"):
+        ParticleField(positions=np.zeros((1, 2)), radius=radius, seed=0)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "seed must be non-negative, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        ("3", "seed must be an integer, got '3'"),
+    ],
+)
+def test_seed_must_be_a_non_negative_integer(seed, message):
+    with pytest.raises(ConfigError, match=message):
+        seed_particles(32, 32, 10, seed)
+    with pytest.raises(ConfigError, match=message):
+        ParticleField(positions=np.zeros((1, 2)), radius=1.0, seed=seed)
+
+
+def test_a_numpy_seed_is_stored_as_int():
+    f = seed_particles(64, 64, 10, seed=np.uint64(3))
+    assert type(f.seed) is int
+    np.testing.assert_array_equal(f.positions, seed_particles(64, 64, 10, seed=3).positions)
+    # The noise stream xors the seed with a salt, which a uint64 seed could not do.
+    f1, _ = render_pair(f, FlowSpec.uniform(1, 0), RenderConfig(width=64, height=64, noise_amplitude=5))
+    assert f1.width == 64
 
 
 @pytest.mark.parametrize(
