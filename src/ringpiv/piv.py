@@ -2,11 +2,12 @@
 
 Coordinate conventions
 ----------------------
-``_packed_xcorr_batch`` returns (n, s, s) correlation planes, one per
-window, and ``peak_displacement`` reads each (s, s) plane.  A plane is
-indexed (iy, ix) by the pattern placement top-left inside the search
-window; only fully-overlapping placements are evaluated, so a w-pixel
-window and p-pixel pattern give s = w - p + 1 placements per axis.
+``_packed_xcorr_batch`` returns (n, s, s) uint16 correlation planes, one
+per window, each value the count of matching bits (at most p * p <= 4096),
+and ``peak_displacement`` reads each (s, s) plane.  A plane is indexed
+(iy, ix) by the pattern placement top-left inside the search window; only
+fully-overlapping placements are evaluated, so a w-pixel window and
+p-pixel pattern give s = w - p + 1 placements per axis.
 Zero displacement is the centred placement off = (s - 1) // 2 on both
 axes, which equals the pattern's own offset (w - p) // 2, so the plane's
 shape alone fixes it.  A placement (iy, ix) maps to
@@ -50,22 +51,29 @@ packs k = min(64 // p, p) consecutive pattern rows into one word, row j of
 a group in bits [j*p, j*p + p), so a placement takes ceil(p / k) XOR +
 popcounts instead of p (k = 1 for p > 32).  The search word of each
 (start row, ix) is built once and shared by every group and iy starting
-there; for k = 1 it is the row slice itself.  Only a partial last group
-(fewer than k rows) is masked to its lanes.  n is the most windows whose
-(w + pad, s, windows) slice buffer fits ``_CHUNK_BYTES``.  Correlate time
-per window by budget (us, windows per call in brackets, median of 15
-interleaved rounds, one thread, 2-CPU Intel Xeon):
+there; for k = 1 it is the row slice itself.  For k > 1 the words are
+built by doubling in the slice buffer: a word of m consecutive slices that
+ORs in the word m rows below it, shifted m * p, holds 2m, so k = 4 takes
+two shift-OR steps and k = 8 three.  Each step makes one shifted temporary
+and frees it, so the build holds at most two slice-sized buffers and no
+per-lane temporary.  When k is not a power of
+two the last step overshoots and one AND clears the lanes past k.  Only a
+partial last group (fewer than k rows) is masked to its lanes.  n is the
+most windows whose (w + pad, s, windows) slice buffer fits
+``_CHUNK_BYTES``.  Correlate time per window by budget (us, windows per
+call in brackets, median of 15 interleaved rounds over one frame's
+windows, one thread, 2-CPU Intel Xeon, numpy 2.4):
 
     budget               256 KiB     512 KiB     1 MiB       2 MiB
-    2048x2048, 32/16     6.0 (60)    5.6 (120)   5.9 (240)   7.1 (481)
-    1280x1024, 64/48    43.5 (30)   36.7 (60)   32.2 (120)  30.3 (240)
+    2048x2048, 32/16     3.6 (60)    3.2 (120)   3.4 (240)   4.2 (481)
+    1280x1024, 64/48    26.1 (30)   21.9 (60)   20.0 (120)  19.2 (240)
 
-1 MiB is near the best for both; 2 MiB gains 6% at 64/48 for twice the
-memory.  The planes come back C-ordered, one contiguous (s, s) block per
-window.  The peak reads a plane in an order sorted by (dx^2 + dy^2, iy,
-ix), cached per plane size s with the dx and dy of each placement; argmax
-returns the first of equal maxima, which in that order is the tie-break
-winner.
+1 MiB is within 6% of the best for both; 2 MiB gains 4% at 64/48 and
+loses 24% at 32/16, for twice the memory.  The planes come back C-ordered,
+one contiguous (s, s) block per window.  The peak reads a plane in an
+order sorted by (dx^2 + dy^2, iy, ix), cached per plane size s with the dx
+and dy of each placement; argmax returns the first of equal maxima, which
+in that order is the tie-break winner.
 """
 
 from __future__ import annotations
@@ -257,7 +265,7 @@ def _packed_xcorr_batch(
     """XNOR match counts for a batch of windows, the window index last.
 
     search_rows: (w, n) uint64, pattern_rows: (p, n) uint64.  Returns
-    (n, s, s) int64 planes with s = w - p + 1, indexed (iy, ix).
+    (n, s, s) uint16 planes with s = w - p + 1, indexed (iy, ix).
     """
     n, s = search_rows.shape[1], w - p + 1
     k = _rows_per_word(p)
@@ -268,15 +276,19 @@ def _packed_xcorr_batch(
     pattern[:p] = pattern_rows
     pattern_words = (pattern.reshape(groups, k, n) << lanes[:, None]).sum(axis=1, dtype=_WORD)
     # (row, ix, n): the p-bit slice of every search row at every horizontal placement
-    sliced = np.empty((w + pad, s, n), dtype=_WORD)
-    sliced[w:] = 0
-    np.right_shift(search_rows[:, None], np.arange(s, dtype=_WORD)[:, None], out=sliced[:w])
-    sliced[:w] &= _WORD((1 << p) - 1)
+    search_words = np.empty((w + pad, s, n), dtype=_WORD)
+    search_words[w:] = 0
+    np.right_shift(search_rows[:, None], np.arange(s, dtype=_WORD)[:, None], out=search_words[:w])
+    search_words[:w] &= _WORD((1 << p) - 1)
     # (start row, ix, n): k consecutive slices per word, built once per start row
-    starts = s + (groups - 1) * k
-    search_words = sliced if k == 1 else sliced[:starts].copy()
-    for j in range(1, k):
-        search_words |= sliced[j : j + starts] << lanes[j]
+    # by doubling in place: a word of m slices ORed with the word m rows below,
+    # shifted m * p, holds 2m (rows past the end count as zero); lanes past k are masked.
+    m = 1
+    while m < k:
+        search_words[:-m] |= search_words[m:] << _WORD(m * p)
+        m *= 2
+    if m > k:
+        search_words &= _WORD((1 << k * p) - 1)
     diff = np.zeros((s, s, n), dtype=np.uint16)  # at most p * p <= 4096
     xor = np.empty((s, s, n), dtype=_WORD)
     count = np.empty((s, s, n), dtype=np.uint8)
@@ -288,7 +300,7 @@ def _packed_xcorr_batch(
             xor &= _WORD((1 << (k - pad) * p) - 1)
         diff += np.bitwise_count(xor, out=count)
     # C order makes each window's plane contiguous, so the peak reads it without a copy.
-    return np.subtract(np.int64(p * p), diff.transpose(2, 0, 1), order="C")
+    return np.subtract(np.uint16(p * p), diff.transpose(2, 0, 1), order="C")
 
 
 @functools.lru_cache(maxsize=16)
@@ -311,13 +323,14 @@ def peak_displacement(plane: np.ndarray, window_index: int = 0) -> Displacement:
     are resolved by smallest dx^2 + dy^2, then row-major plane order, so a
     constant plane yields (0, 0).
     """
-    if plane.ndim != 2 or plane.size == 0 or plane.shape[0] != plane.shape[1]:
+    shape = plane.shape
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
         raise DimensionError(
-            f"correlation plane must be a non-empty square 2-D array, got shape {plane.shape}"
+            f"correlation plane must be a non-empty square 2-D array, got shape {shape}"
         )
-    order, dx, dy = _tie_order(plane.shape[0])
+    order, dx, dy = _tie_order(shape[0])
     ranked = plane.ravel()[order]
-    best = int(ranked.argmax())  # the first maximum in tie order
+    best = ranked.argmax()  # the first maximum in tie order
     return Displacement(dx[best], dy[best], ranked.item(best), window_index)
 
 

@@ -44,6 +44,11 @@ def test_binary_complement_block_scores_zero():
 @example(sizes=(64, 48), n=5, seed=1)  # p > 32: one pattern row per word
 @example(sizes=(32, 13), n=4, seed=2)  # the last row group holds 1 of 4 rows
 @example(sizes=(8, 5), n=1, seed=3)  # one window
+@example(sizes=(16, 3), n=3, seed=7)  # k = 3: two doublings, lane 3 masked off
+@example(sizes=(32, 5), n=3, seed=8)  # k = 5: three doublings, lanes 5-7 masked off
+@example(sizes=(64, 10), n=3, seed=9)  # k = 6: three doublings, bits past lane 5 masked off
+@example(sizes=(40, 7), n=3, seed=10)  # k = 7: three doublings, lane 7 masked off
+@example(sizes=(32, 8), n=3, seed=11)  # k = 8: three doublings, the deepest, no mask
 def test_packed_batch_matches_per_bit_oracle_per_window(sizes, n, seed):
     # Distinct windows side by side: a mix-up of the window and row axes
     # would correlate one window's rows against another's.
@@ -57,7 +62,7 @@ def test_packed_batch_matches_per_bit_oracle_per_window(sizes, n, seed):
         w,
         p,
     )
-    assert planes.shape == (n, w - p + 1, w - p + 1) and planes.dtype == np.int64
+    assert planes.shape == (n, w - p + 1, w - p + 1) and planes.dtype == np.uint16
     for i in range(n):
         np.testing.assert_array_equal(planes[i], xnor_plane(search[i], pattern[i]))
 

@@ -241,12 +241,19 @@ def test_chunk_is_the_most_windows_whose_slice_buffer_fits_the_budget():
 @pytest.mark.parametrize("windows", [50, 1000])
 @pytest.mark.parametrize(
     "w, p, binarization, threshold",
-    [(32, 16, "adaptive", None), (64, 48, "global", 500)],
-    ids=["32-16", "64-48"],
+    [
+        (32, 16, "adaptive", None),
+        (64, 48, "global", 500),
+        (32, 5, "adaptive", None),
+        (16, 3, "adaptive", None),
+        (32, 8, "adaptive", None),
+    ],
+    ids=["32-16", "64-48", "32-5", "16-3", "32-8"],
 )
 def test_correlate_memory_is_bounded_by_the_chunk_budget(monkeypatch, w, p, binarization, threshold, windows):
-    # The benchmark geometries: one correlate call allocates under four
-    # budgets at its peak, whatever the frame size.
+    # The benchmark geometries and three deep search-word builds (k = 5, 3
+    # and 8): one correlate call allocates under four budgets at its peak,
+    # whatever the frame size.
     correlate = piv._packed_xcorr_batch
     peaks = []
 

@@ -84,9 +84,10 @@ def test_peak_matches_lexsort_reference_on_tie_heavy_planes(s, seed):
 
 @pytest.mark.parametrize(
     "plane",
-    [np.ones(17), np.ones((17, 16)), np.ones((0, 0))],
-    ids=["1-D", "non-square", "empty"],
+    [np.ones(17), np.ones((17, 16)), np.ones((0, 0)), np.ones(()), np.ones((17, 17, 1))],
+    ids=["1-D", "non-square", "empty", "0-D", "3-D"],
 )
 def test_peak_rejects_1d_non_square_and_empty_planes(plane):
-    with pytest.raises(DimensionError, match="non-empty square 2-D"):
+    with pytest.raises(DimensionError, match="non-empty square 2-D") as raised:
         peak_displacement(plane)
+    assert str(raised.value).endswith(f"got shape {plane.shape}")
