@@ -31,8 +31,8 @@ Hot path
 One block is the unit of work: a run of at most n = ``_chunk_windows(w,
 p)`` windows in row-major order, n // cols whole window rows (at least
 one), or n windows of one row when a row holds more than n.  Each block of
-both frames runs the whole pipeline below, so memory is bounded by one
-block whatever the frame size.  ``binarize_frame`` turns a block's pixels
+both frames runs the whole pipeline below, so memory does not grow with
+the frame (see the rounds below).  ``binarize_frame`` turns a block's pixels
 into a bool array.  The adaptive threshold sums each window column over ws
 rows in the uint16 of the pixels (64 * 1023 fits), then compares each band
 of ws rows against its thresholds repeated to one block-wide row.
@@ -74,12 +74,32 @@ one contiguous (s, s) block per window.  The peak reads a plane in an
 order sorted by (dx^2 + dy^2, iy, ix), cached per plane size s with the dx
 and dy of each placement; argmax returns the first of equal maxima, which
 in that order is the tie-break winner.
+
+Blocks run in rounds, the paper's duplicated processing modules.  A round
+is as many consecutive blocks as keep their (windows, s, s) uint16 planes
+under ``_ROUND_BYTES``: one round at 2048x2048 32/16 (22 blocks) and at
+1280x1024 64/48 (3 blocks), three at 4096x4096 32/16.  Binarize, pack,
+split and correlate of a round's blocks run on ``_WORKERS`` threads, the
+CPUs this process may run on capped at the round's block count, the
+calling thread being one of them: each claims the round's next unclaimed
+block until none is left, so a one-block frame starts no thread.  Those
+stages are numpy passes that release the GIL.  The calling thread then
+joins the workers and reads the peaks of the round's planes in window
+order.  The peak is a short Python step per window that holds the GIL, so
+it stays serial: with the peaks inside the workers, 2048x2048 32/16 ran
+0.99x as fast as the one-thread code, against 1.38x with serial peaks
+(in-process interleaved timing, 2-CPU Intel Xeon).  Output is
+bit-identical for any worker count and round size.  Memory is bounded by
+one round of planes plus one block's front-end and correlator buffers per
+worker.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -89,6 +109,9 @@ from .images import GrayImage, _ReadOnly
 
 _WORD = np.uint64
 _CHUNK_BYTES = 1 << 20  # one correlate call's slice buffer, see _chunk_windows
+_ROUND_BYTES = 4 << 20  # the planes of one round of blocks, see compute_field
+# Threads per round of blocks: the CPUs this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class WindowGrid(NamedTuple):
@@ -340,6 +363,44 @@ def _split_windows(row_words: np.ndarray, ws: int) -> np.ndarray:
     return row_words.reshape(h // ws, ws, cols).transpose(1, 0, 2).reshape(ws, -1)
 
 
+def _in_threads(fn, jobs: list) -> list:
+    """``[fn(job) for job in jobs]`` on up to ``_WORKERS`` threads, this one included.
+
+    Each thread claims the next unclaimed job until none is left, so one job
+    starts no thread.  The first exception stops further claims and is
+    raised here, unchanged, once every started thread has been joined.
+    Plain threads: importing ``concurrent.futures`` (and with it
+    ``logging``) would add several ms to every cold start.
+    """
+    results, errors = [None] * len(jobs), []
+    claims, lock = iter(range(len(jobs))), threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(jobs[i])
+            except BaseException as exc:  # re-raised below, in the calling thread
+                errors.append(exc)
+
+    started = []
+    try:
+        for _ in range(min(_WORKERS, len(jobs)) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            started.append(thread)
+        work()
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> VectorField:
     """Full-field PIV: one displacement per interrogation window.
 
@@ -347,8 +408,10 @@ def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> Vecto
     row-major order: whole window rows, or part of one row when a row holds
     more.  Each block of both frames is binarized per the config, and the
     centred pattern of each frame-2 window is correlated (XNOR sum) against
-    the matching frame-1 window.  Memory is bounded by one block, not by the
-    frame.  Deterministic; windows are independent.
+    the matching frame-1 window, a round of blocks at a time on up to
+    ``_WORKERS`` threads; the peaks are then read in window order.  Memory
+    is bounded by one round of planes plus one block per worker, not by the
+    frame.  Deterministic for any worker count; windows are independent.
     """
     if (frame1.width, frame1.height) != (frame2.width, frame2.height):
         raise DimensionError(
@@ -359,17 +422,23 @@ def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> Vecto
     off = (w - p) // 2  # the centred pattern's top-left inside its window
     n = _chunk_windows(w, p)
     bw, bh = min(grid.cols, n) * w, max(1, n // grid.cols) * w  # one block's pixels
+    blocks = [(y, x) for y in range(0, frame1.height, bh) for x in range(0, frame1.width, bw)]
+    # A round holds the (windows, s, s) uint16 planes of its blocks until their peaks are read.
+    per_round = max(1, _ROUND_BYTES // (2 * (w - p + 1) ** 2 * (bw // w) * (bh // w)))
+
+    def correlate(block):
+        y, x = block
+        # Each image row of the block split into its windows' rows, packed, then transposed.
+        search_rows, frame2_rows = (
+            _split_windows(_pack_window_rows(bits.reshape(len(bits), -1, w)), w)
+            for bits in (binarize_frame(f.data[y : y + bh, x : x + bw], cfg) for f in (frame1, frame2))
+        )
+        # The centred pattern: rows off..off+p of each window, bits off..off+p of each row.
+        pattern_rows = (frame2_rows[off : off + p] >> _WORD(off)) & _WORD((1 << p) - 1)
+        return _packed_xcorr_batch(search_rows, pattern_rows, w, p)
 
     vectors = []
-    for y in range(0, frame1.height, bh):
-        for x in range(0, frame1.width, bw):
-            # Each image row of the block split into its windows' rows, packed, then transposed.
-            search_rows, frame2_rows = (
-                _split_windows(_pack_window_rows(bits.reshape(len(bits), -1, w)), w)
-                for bits in (binarize_frame(f.data[y : y + bh, x : x + bw], cfg) for f in (frame1, frame2))
-            )
-            # The centred pattern: rows off..off+p of each window, bits off..off+p of each row.
-            pattern_rows = (frame2_rows[off : off + p] >> _WORD(off)) & _WORD((1 << p) - 1)
-            planes = _packed_xcorr_batch(search_rows, pattern_rows, w, p)
+    for start in range(0, len(blocks), per_round):
+        for planes in _in_threads(correlate, blocks[start : start + per_round]):
             vectors += [peak_displacement(plane, i) for i, plane in enumerate(planes, len(vectors))]
     return VectorField(grid=grid, vectors=vectors)

@@ -1,4 +1,8 @@
+import itertools
+import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -150,19 +154,34 @@ def test_batched_field_matches_per_window_path():
     assert got == per_window_vectors(f1, f2, cfg)
 
 
+# One worker, one round and the package's block size: the serial path.
+SERIAL = {"workers": 1, "chunk_bytes": piv._CHUNK_BYTES, "round_bytes": piv._ROUND_BYTES}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     sizes=st.integers(2, 64).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, w))),
     tiles=st.tuples(st.integers(1, 3), st.integers(1, 3)),
     binarization=st.sampled_from(["adaptive", "global"]),
     seed=st.integers(min_value=0, max_value=2**31),
+    workers=st.integers(1, 3),
+    chunk_bytes=st.sampled_from([piv._CHUNK_BYTES, 1]),  # 1: every block is one window
+    round_bytes=st.sampled_from([piv._ROUND_BYTES, 1]),  # 1: every block is its own round
 )
-@example(sizes=(33, 16), tiles=(2, 1), binarization="adaptive", seed=1)  # asymmetric centring
-@example(sizes=(64, 64), tiles=(1, 2), binarization="adaptive", seed=2)  # the w = 64 limit
-@example(sizes=(64, 48), tiles=(2, 1), binarization="global", seed=3)  # p > 32: one row per word
-@example(sizes=(32, 13), tiles=(2, 2), binarization="adaptive", seed=4)  # last row group has 1 row
-@example(sizes=(8, 5), tiles=(17, 16), binarization="adaptive", seed=5)  # 272 windows: partial chunk
-def test_field_matches_per_window_path_over_random_geometry(sizes, tiles, binarization, seed):
+@example(sizes=(33, 16), tiles=(2, 1), binarization="adaptive", seed=1, **SERIAL)  # asymmetric centring
+@example(sizes=(64, 64), tiles=(1, 2), binarization="adaptive", seed=2, **SERIAL)  # the w = 64 limit
+@example(sizes=(64, 48), tiles=(2, 1), binarization="global", seed=3, **SERIAL)  # p > 32: one row per word
+@example(sizes=(32, 13), tiles=(2, 2), binarization="adaptive", seed=4, **SERIAL)  # last row group has 1 row
+@example(sizes=(8, 5), tiles=(17, 16), binarization="adaptive", seed=5, **SERIAL)  # 272 windows: partial chunk
+# Nine one-window blocks on three workers, then six on two with one block per round.
+@example(
+    sizes=(32, 13), tiles=(3, 3), binarization="adaptive", seed=6, workers=3, chunk_bytes=1,
+    round_bytes=piv._ROUND_BYTES,
+)
+@example(sizes=(16, 5), tiles=(3, 2), binarization="global", seed=7, workers=2, chunk_bytes=1, round_bytes=1)
+def test_field_matches_per_window_path_over_random_geometry(
+    sizes, tiles, binarization, seed, workers, chunk_bytes, round_bytes
+):
     w, p = sizes
     cols, rows = tiles
     rng = np.random.default_rng(seed)
@@ -172,7 +191,8 @@ def test_field_matches_per_window_path_over_random_geometry(sizes, tiles, binari
     f1, f2 = GrayImage.from_array(a), GrayImage.from_array(b)
     threshold = int(rng.integers(0, 1024)) if binarization == "global" else None
     cfg = PivConfig(window_size=w, pattern_size=p, binarization=binarization, threshold=threshold)
-    out = compute_field(f1, f2, cfg)
+    with mock.patch.multiple(piv, _WORKERS=workers, _CHUNK_BYTES=chunk_bytes, _ROUND_BYTES=round_bytes):
+        out = compute_field(f1, f2, cfg)
     got = [(v.dx, v.dy, v.peak_value, v.window_index) for v in out.vectors]
     assert got == per_window_vectors(f1, f2, cfg)
 
@@ -190,30 +210,62 @@ def chunk_boundary_vectors(w, p, cols, rows=1):
     return got, per_window_vectors(f1, f2, cfg)
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["one-short", "exact", "one-over"])
-def test_field_matches_per_window_path_at_the_chunk_boundary(extra):
+# One full block and one more window make two blocks, so two workers run.
+WORKERS_AT_THE_CHUNK_BOUNDARY = pytest.mark.parametrize(
+    "extra, workers",
+    [(-1, 1), (0, 1), (1, 1), (1, 2)],
+    ids=["one-short", "exact", "one-over", "one-over-2-workers"],
+)
+
+
+@WORKERS_AT_THE_CHUNK_BOUNDARY
+def test_field_matches_per_window_path_at_the_chunk_boundary(monkeypatch, extra, workers):
     # One window short of a full chunk, one full chunk, a full chunk and one
     # window; 8/5 packs k = 5 pattern rows per word.
+    monkeypatch.setattr(piv, "_WORKERS", workers)
     got, expected = chunk_boundary_vectors(8, 5, piv._chunk_windows(8, 5) + extra)
     assert got == expected
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["one-short", "exact", "one-over"])
-def test_field_matches_per_window_path_at_a_one_row_per_word_chunk_boundary(extra):
+@WORKERS_AT_THE_CHUNK_BOUNDARY
+def test_field_matches_per_window_path_at_a_one_row_per_word_chunk_boundary(monkeypatch, extra, workers):
     # p > 32: k = 1, so the search words are the row slices themselves.
+    monkeypatch.setattr(piv, "_WORKERS", workers)
     got, expected = chunk_boundary_vectors(64, 40, piv._chunk_windows(64, 40) + extra)
     assert got == expected
 
 
 @pytest.mark.parametrize(
-    "w, p, rows, cols",
-    [(8, 5, 2, 4097), (64, 40, 2, 82), (8, 5, 9, 1000), (64, 40, 3, 40)],
-    ids=["8-5-split-rows", "64-40-split-rows", "8-5-whole-rows", "64-40-whole-rows"],
+    "w, p, rows, cols, workers, round_bytes",
+    [
+        (8, 5, 2, 4097, 1, piv._ROUND_BYTES),
+        (64, 40, 2, 82, 1, piv._ROUND_BYTES),
+        (8, 5, 9, 1000, 1, piv._ROUND_BYTES),
+        (64, 40, 3, 40, 1, piv._ROUND_BYTES),
+        (8, 5, 2, 4097, 3, piv._ROUND_BYTES),
+        (64, 40, 2, 82, 2, 1),
+        (8, 5, 9, 1000, 3, piv._ROUND_BYTES),
+        (64, 40, 3, 40, 2, 1),
+    ],
+    ids=[
+        "8-5-split-rows",
+        "64-40-split-rows",
+        "8-5-whole-rows",
+        "64-40-whole-rows",
+        "8-5-split-rows-3-workers",
+        "64-40-split-rows-2-workers-block-rounds",
+        "8-5-whole-rows-3-workers",
+        "64-40-whole-rows-2-workers-block-rounds",
+    ],
 )
-def test_field_matches_per_window_path_over_block_boundaries(monkeypatch, w, p, rows, cols):
+def test_field_matches_per_window_path_over_block_boundaries(
+    monkeypatch, w, p, rows, cols, workers, round_bytes
+):
     # A row one window wider than a block (8/5 and 64/40 blocks hold 4096 and
     # 81 windows) is split in two; otherwise a block is 4 or 2 whole rows,
-    # and the last block is shorter.
+    # and the last block is shorter.  A round of 1 byte holds one block.
+    monkeypatch.setattr(piv, "_WORKERS", workers)
+    monkeypatch.setattr(piv, "_ROUND_BYTES", round_bytes)
     correlate = piv._packed_xcorr_batch
     sizes = []
 
@@ -253,7 +305,9 @@ def test_chunk_is_the_most_windows_whose_slice_buffer_fits_the_budget():
 def test_correlate_memory_is_bounded_by_the_chunk_budget(monkeypatch, w, p, binarization, threshold, windows):
     # The benchmark geometries and three deep search-word builds (k = 5, 3
     # and 8): one correlate call allocates under four budgets at its peak,
-    # whatever the frame size.
+    # whatever the frame size.  One worker, because tracemalloc's peak is
+    # the whole process's and would add the blocks other threads hold.
+    monkeypatch.setattr(piv, "_WORKERS", 1)
     correlate = piv._packed_xcorr_batch
     peaks = []
 
@@ -279,8 +333,8 @@ def test_correlate_memory_is_bounded_by_the_chunk_budget(monkeypatch, w, p, bina
 
 
 def test_compute_field_memory_on_a_2048_frame():
-    # The bool raster of one frame is 4 MiB; the packed row words of both
-    # frames and one correlate chunk add under 3 MiB more.
+    # With every usable CPU: one round of planes (2.3 MiB for these 4096
+    # windows) plus one block per worker.
     rng = np.random.default_rng(13)
     a = rng.integers(0, 1024, size=(2048, 2048), dtype=np.uint16)
     f1, f2 = GrayImage.from_array(a), GrayImage.from_array(np.roll(a, (2, -1), axis=(0, 1)))
@@ -296,7 +350,7 @@ def test_compute_field_memory_on_a_2048_frame():
 
 def test_compute_field_memory_on_a_4096_frame():
     # Four times the pixels of the 2048 frame under the same bound: memory
-    # is one block's, not the frame's.
+    # is one round's and one block per worker's, not the frame's.
     rng = np.random.default_rng(14)
     a = rng.integers(0, 1024, size=(4096, 4096), dtype=np.uint16)
     f1, f2 = GrayImage.from_array(a), GrayImage.from_array(np.roll(a, (2, -1), axis=(0, 1)))
@@ -308,6 +362,74 @@ def test_compute_field_memory_on_a_4096_frame():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_a_one_block_frame_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(piv, "_WORKERS", 4)
+    correlate = piv._packed_xcorr_batch
+    callers = []
+
+    def spy(*args):
+        callers.append((threading.current_thread(), threading.active_count()))
+        return correlate(*args)
+
+    monkeypatch.setattr(piv, "_packed_xcorr_batch", spy)
+    rng = np.random.default_rng(23)
+    a = GrayImage.from_array(rng.integers(0, 1024, size=(256, 320)).astype(np.uint16))
+    before = threading.active_count()
+    compute_field(a, a, PivConfig())
+    assert callers == [(threading.main_thread(), before)]
+
+
+def test_a_worker_failure_propagates_and_every_thread_is_joined(monkeypatch):
+    # 1-byte chunks make each of the 16 windows a block, so three workers run.
+    monkeypatch.setattr(piv, "_WORKERS", 3)
+    monkeypatch.setattr(piv, "_CHUNK_BYTES", 1)
+    correlate = piv._packed_xcorr_batch
+    calls = itertools.count()
+    failure = RuntimeError("the second block fails")
+
+    def failing(*args):
+        if next(calls) == 1:
+            raise failure
+        return correlate(*args)
+
+    monkeypatch.setattr(piv, "_packed_xcorr_batch", failing)
+    rng = np.random.default_rng(24)
+    a = GrayImage.from_array(rng.integers(0, 1024, size=(128, 128)).astype(np.uint16))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        compute_field(a, a, PivConfig())
+    assert raised.value is failure
+    assert threading.active_count() == before
+
+
+def test_each_block_is_claimed_once_by_more_workers_than_cpus(monkeypatch):
+    # 64 one-window blocks on eight workers that switch every microsecond: a
+    # block claimed twice adds a correlate call, a block missed loses a vector.
+    rng = np.random.default_rng(25)
+    a = rng.integers(0, 1024, size=(256, 256))
+    f1, f2 = GrayImage.from_array(a), GrayImage.from_array(np.roll(a, (1, 2), axis=(0, 1)))
+    monkeypatch.setattr(piv, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(piv, "_WORKERS", 1)
+    serial = compute_field(f1, f2, PivConfig()).vectors
+    correlate = piv._packed_xcorr_batch
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return correlate(*args)
+
+    monkeypatch.setattr(piv, "_packed_xcorr_batch", counted)
+    monkeypatch.setattr(piv, "_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = compute_field(f1, f2, PivConfig()).vectors
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 64
+    assert threaded == serial
 
 
 def test_vector_field_requires_its_vectors():
