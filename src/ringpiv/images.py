@@ -1,28 +1,57 @@
-"""Image containers: 10-bit grayscale rasters and binary rasters.
+"""Image containers, and ``_ReadOnly``, the base of every checked record.
 
-Both are read-only records built by their constructors, which run every
-check; ``_ReadOnly`` is the small base they share with ``PivConfig`` and
-``VectorField``.  A BinaryImage is a read-only 2-D bool raster, one byte
-per pixel.  It is not on the ``compute_field`` path, which binarizes each
-block of a frame to a plain bool array with ``piv.binarize_frame``.
+A record's constructor runs every check and sets the fields with ``_set``;
+the ``piv`` docstring says why ``WindowGrid`` and ``Displacement`` stay
+tuples.  A BinaryImage is a read-only 2-D bool raster, one byte per pixel,
+not on the ``compute_field`` path: that binarizes with ``piv.binarize_frame``.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .errors import DimensionError, InputFormatError
+from .errors import ConfigError, DimensionError, InputFormatError
 
 MAX_INTENSITY = 1023  # 10-bit sensor ceiling
 
 
+def _integer(name: str, value, error: type[Exception] = ConfigError) -> int:
+    """``value`` as an ``int``; a bool or a non-integer raises ``error``.
+
+    ``operator.index`` takes Python and numpy integers (and 0-d integer
+    arrays) and is far cheaper than ``isinstance(value, numbers.Integral)``;
+    ``piv.tile_windows`` runs it on every block.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _size(name: str, value, error: type[Exception]) -> int:
+    """``value`` as a positive ``int``; a bool, a non-integer or a value <= 0 raises ``error``."""
+    value = _integer(name, value, error)
+    if value <= 0:
+        raise error(f"{name} {value} must be positive")
+    return value
+
+
 class _ReadOnly:
-    """Fields listed in ``__slots__``, set once by ``__init__``; compared by value.
+    """Fields listed in ``__slots__``, set once by ``__init__`` with ``_set``; compared by value.
 
     Pickling and copying replay the constructor call, so its checks run again.
     """
 
     __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Set every field, in ``__slots__`` order; each constructor calls it once."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -73,7 +102,7 @@ class GrayImage(_ReadOnly):
         # Its own copy, so the caller's array stays writable and cannot change the image.
         data = np.array(data, dtype=np.uint16)
         data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        self._set(data)
 
     @property
     def width(self) -> int:
@@ -108,7 +137,7 @@ class BinaryImage(_ReadOnly):
             )
         bits = np.array(bits, dtype=bool)  # its own copy, as in GrayImage
         bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+        self._set(bits)
 
     @property
     def width(self) -> int:

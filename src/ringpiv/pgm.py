@@ -42,10 +42,9 @@ def read_pgm(path) -> GrayImage:
     fields = []
     for _ in range(3):
         tok, pos = _read_token(buf, pos)
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise InputFormatError(f"bad PGM header token {tok!r}") from None
+        if not tok.isdigit():  # ASCII decimal only: int() would also take b"+2" and b"1_0"
+            raise InputFormatError(f"bad PGM header token {tok!r}")
+        fields.append(int(tok))
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise InputFormatError(f"bad PGM dimensions {width}x{height}")

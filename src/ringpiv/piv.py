@@ -20,11 +20,12 @@ raster coordinates (positive dx rightward, positive dy downward).
 
 Records
 -------
-``WindowGrid`` and ``Displacement`` are ``NamedTuple``s; ``PivConfig`` and
-``VectorField`` are read-only ``__slots__`` classes on ``images._ReadOnly``,
-compared by value, whose pickles and copies re-run ``__init__``.  None is a
-dataclass: the code generation of ``dataclasses`` would be paid on every
-``import ringpiv``, which a one-shot run waits for.
+``PivConfig`` and ``VectorField``, like every checked record, are read-only
+``__slots__`` classes on ``images._ReadOnly`` whose pickles and copies re-run
+``__init__``.  No module imports ``dataclasses``, whose code generation every
+import would pay.  ``WindowGrid`` and ``Displacement`` stay unchecked
+``NamedTuple``s: one ``Displacement`` is built per window in the serial
+peak loop, and a Python ``__init__`` there would slow it.
 
 Hot path
 --------
@@ -97,15 +98,14 @@ worker.
 from __future__ import annotations
 
 import functools
-import operator
 import os
 import threading
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
-from .images import GrayImage, _ReadOnly
+from .errors import ConfigError, DimensionError, InputFormatError
+from .images import GrayImage, _integer, _ReadOnly, _size
 
 _WORD = np.uint64
 _CHUNK_BYTES = 1 << 20  # one correlate call's slice buffer, see _chunk_windows
@@ -124,29 +124,6 @@ class WindowGrid(NamedTuple):
     @property
     def count(self) -> int:
         return self.cols * self.rows
-
-
-def _integer(name: str, value, error: type[Exception] = ConfigError) -> int:
-    """``value`` as an ``int``; a bool or a non-integer raises ``error``.
-
-    ``operator.index`` takes Python and numpy integers (and 0-d integer
-    arrays) and is far cheaper than ``isinstance(value, numbers.Integral)``;
-    ``tile_windows`` runs it on every block.
-    """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise error(f"{name} must be an integer, got {value!r}")
-
-
-def _size(name: str, value, error: type[Exception]) -> int:
-    """``value`` as a positive ``int``; a bool, a non-integer or a value <= 0 raises ``error``."""
-    value = _integer(name, value, error)
-    if value <= 0:
-        raise error(f"{name} {value} must be positive")
-    return value
 
 
 def tile_windows(width: int, height: int, window_size: int) -> WindowGrid:
@@ -180,12 +157,10 @@ class PivConfig(_ReadOnly):
         binarization: str = "adaptive",
         threshold: int | None = None,
     ):
-        window_size = _integer("window_size", window_size)
-        pattern_size = _integer("pattern_size", pattern_size)
+        window_size = _size("window_size", window_size, ConfigError)
+        pattern_size = _size("pattern_size", pattern_size, ConfigError)
         if threshold is not None:
             threshold = _integer("threshold", threshold)
-        if window_size <= 0 or pattern_size <= 0:
-            raise ConfigError("window_size and pattern_size must be positive")
         if pattern_size > window_size:
             raise ConfigError(f"pattern_size {pattern_size} exceeds window_size {window_size}")
         if window_size > 64:
@@ -199,8 +174,7 @@ class PivConfig(_ReadOnly):
             raise ConfigError("global binarization requires a threshold")
         elif not (0 <= threshold <= 1023):
             raise ConfigError(f"threshold {threshold} outside 0..1023")
-        for name, value in zip(self.__slots__, (window_size, pattern_size, binarization, threshold)):
-            object.__setattr__(self, name, value)
+        self._set(window_size, pattern_size, binarization, threshold)
 
 
 class Displacement(NamedTuple):
@@ -225,8 +199,7 @@ class VectorField(_ReadOnly):
     def __init__(self, grid: WindowGrid, vectors: list[Displacement]):
         if len(vectors) != grid.count:
             raise DimensionError(f"{len(vectors)} vectors for {grid.count} windows")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "vectors", vectors)
+        self._set(grid, vectors)
 
 
 def adaptive_thresholds(data: np.ndarray, window_size: int) -> np.ndarray:
@@ -413,6 +386,13 @@ def compute_field(frame1: GrayImage, frame2: GrayImage, cfg: PivConfig) -> Vecto
     is bounded by one round of planes plus one block per worker, not by the
     frame.  Deterministic for any worker count; windows are independent.
     """
+    for name, frame in (("frame1", frame1), ("frame2", frame2)):
+        if not isinstance(frame, GrayImage):
+            raise InputFormatError(
+                f"{name} must be a GrayImage, got {type(frame).__name__}; see GrayImage.from_array"
+            )
+    if not isinstance(cfg, PivConfig):
+        raise ConfigError(f"cfg must be a PivConfig, got {type(cfg).__name__}")
     if (frame1.width, frame1.height) != (frame2.width, frame2.height):
         raise DimensionError(
             f"frame sizes differ: {frame1.width}x{frame1.height} vs {frame2.width}x{frame2.height}"

@@ -4,25 +4,23 @@ Particles are rendered as hard-edged discs: the downstream binarization
 discards intensity profiles, so the simplest renderer suffices.  All
 randomness goes through numpy's PCG64 generator seeded explicitly, so a
 given (seed, flow, config) triple always produces bit-identical frames.
+The records are checked and read-only on ``images._ReadOnly``, like ``PivConfig``.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
-from .images import MAX_INTENSITY, GrayImage
-from .piv import _integer
+from .images import MAX_INTENSITY, GrayImage, _integer, _ReadOnly
 
 _NOISE_SEED_SALT = 0x5EED_0F_0123
 _FLOW_FIELDS = {"uniform": ("dx", "dy"), "shear": ("rate",), "vortex": ("center", "strength")}
 
 
-@dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(_ReadOnly):
     """Displacement field applied between the two exposures.
 
     kinds:
@@ -31,26 +29,22 @@ class FlowSpec:
       vortex   - solid-body rotation about ``center`` by angle ``strength``
                  (radians); small angles approximate the usual tangential flow
     Displacements are in pixels per frame pair.  A field the kind does not
-    read must keep its default.
+    read must keep its default.  Read-only, compared and hashed by value.
     """
 
-    kind: str
-    dx: float = 0.0
-    dy: float = 0.0
-    rate: float = 0.0
-    center: tuple[float, float] = (0.0, 0.0)
-    strength: float = 0.0
+    __slots__ = ("kind", "dx", "dy", "rate", "center", "strength")
 
-    def __post_init__(self):
-        if self.kind not in _FLOW_FIELDS:
-            raise ConfigError(f"unknown flow kind {self.kind!r}")
-        used = _FLOW_FIELDS[self.kind]
-        for f in fields(self)[1:]:  # every field after kind is numeric
-            value = getattr(self, f.name)
-            if f.name not in used and not np.array_equal(value, f.default):
-                raise ConfigError(f"{self.kind} flow does not use {f.name}, got {value!r}")
+    def __init__(self, kind: str, dx: float = 0.0, dy: float = 0.0, rate: float = 0.0,
+                 center: tuple[float, float] = (0.0, 0.0), strength: float = 0.0):
+        if kind not in _FLOW_FIELDS:
+            raise ConfigError(f"unknown flow kind {kind!r}")
+        values = (dx, dy, rate, center, strength)  # every field after kind is numeric
+        for name, value, default in zip(self.__slots__[1:], values, FlowSpec.__init__.__defaults__):
+            if name not in _FLOW_FIELDS[kind] and not np.array_equal(value, default):
+                raise ConfigError(f"{kind} flow does not use {name}, got {value!r}")
             if not np.isfinite(value).all():
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        self._set(kind, *values)
 
     @classmethod
     def uniform(cls, dx: float, dy: float) -> "FlowSpec":
@@ -78,20 +72,21 @@ class FlowSpec:
         return (c * rx - s * ry) - rx, (s * rx + c * ry) - ry
 
 
-@dataclass(frozen=True)
-class ParticleField:
-    positions: np.ndarray  # shape (n, 2) float64, columns (x, y)
-    radius: float
-    seed: int
+class ParticleField(_ReadOnly):
+    """Discs of one radius, seeded by ``seed``; ``==`` is identity, as for the images."""
 
-    def __post_init__(self):
-        r = self.radius
+    __slots__ = ("positions", "radius", "seed")  # positions: shape (n, 2) float64, columns (x, y)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, positions: np.ndarray, radius: float, seed: int):
+        r = radius
         if isinstance(r, bool) or not (isinstance(r, numbers.Real) and np.isfinite(r) and r > 0):
             raise ConfigError(f"radius must be a positive finite number, got {r!r}")
-        object.__setattr__(self, "seed", _seed(self.seed))
+        seed = _seed(seed)
         try:
             # Its own read-only copy, so the caller's array stays writable and cannot change the field.
-            positions = np.array(self.positions, dtype=float)
+            positions = np.array(positions, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"positions must be numeric: {exc}") from None
         if positions.ndim != 2 or positions.shape[1] != 2:
@@ -99,7 +94,7 @@ class ParticleField:
         if not np.isfinite(positions).all():
             raise ConfigError("positions must be finite")
         positions.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
+        self._set(positions, radius, seed)
 
     @property
     def count(self) -> int:
@@ -114,19 +109,15 @@ def _seed(value) -> int:
     return seed
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    """Frame size and intensities; every field is an integer, numpy integers are stored as ``int``."""
+class RenderConfig(_ReadOnly):
+    """Frame size and intensities, compared by value; every field is an integer, stored as ``int``."""
 
-    width: int = 320
-    height: int = 256
-    background: int = 100
-    particle_intensity: int = 900
-    noise_amplitude: int = 0
+    __slots__ = ("width", "height", "background", "particle_intensity", "noise_amplitude")
 
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name)))
+    def __init__(self, width: int = 320, height: int = 256, background: int = 100,
+                 particle_intensity: int = 900, noise_amplitude: int = 0):
+        fields = (width, height, background, particle_intensity, noise_amplitude)
+        self._set(*map(_integer, self.__slots__, fields))
         if not (0 <= self.background <= MAX_INTENSITY):
             raise ConfigError(f"background {self.background} outside 0..{MAX_INTENSITY}")
         if not (0 <= self.particle_intensity <= MAX_INTENSITY):

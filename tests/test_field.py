@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import lexsort_peak, xnor_plane
-from ringpiv import ConfigError, DimensionError, GrayImage, PivConfig, compute_field
+from ringpiv import ConfigError, DimensionError, GrayImage, InputFormatError, PivConfig, compute_field
 from ringpiv import piv
 from ringpiv.piv import binarize_frame, tile_windows
 from ringpiv.synth import FlowSpec, RenderConfig, render_pair, seed_particles
@@ -38,6 +38,24 @@ def test_size_mismatch_rejected():
     b = GrayImage.from_array(np.zeros((64, 96), dtype=np.uint16))
     with pytest.raises(DimensionError):
         compute_field(a, b, PivConfig())
+
+
+@pytest.mark.parametrize(
+    "bad", [np.zeros((64, 64), dtype=np.uint16), None, {}], ids=["ndarray", "None", "dict"]
+)
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["frame1", "frame2", "cfg"])
+def test_inputs_of_the_wrong_type_are_rejected_by_name(position, bad):
+    img = GrayImage.from_array(np.zeros((64, 64), dtype=np.uint16))
+    args = [img, img, PivConfig()]
+    args[position] = bad
+    kind = type(bad).__name__
+    if position == 2:
+        error, message = ConfigError, f"^cfg must be a PivConfig, got {kind}$"
+    else:
+        error = InputFormatError
+        message = f"^frame{position + 1} must be a GrayImage, got {kind}; see GrayImage.from_array$"
+    with pytest.raises(error, match=message):
+        compute_field(*args)
 
 
 def test_uniform_translation_recovered_on_synthetic_pair():

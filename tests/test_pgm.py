@@ -71,3 +71,17 @@ def test_rejects_pixel_above_the_10_bit_maximum(tmp_path, maxval, pixel):
     path.write_bytes(f"P5\n2 1\n{maxval}\n".encode() + data.tobytes())
     with pytest.raises(InputFormatError, match=f"intensity {pixel} exceeds 10-bit maximum 1023"):
         read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"P5 1_0 1 255\n", b"P5 +2 1 255\n", b"P5 2 1 2_55\n", b"P5 2 -1 255\n", b"P5 2 1 0x10\n",
+     "P5 \u0662 1 255\n".encode()],
+    ids=["underscore-width", "plus-width", "underscore-maxval", "minus-height", "hex-maxval", "arabic-digit"],
+)
+def test_header_numbers_must_be_ascii_decimal_digits(tmp_path, header):
+    """``int()`` would read b"1_0" as 10 and take a sign; a PGM header holds plain digits."""
+    path = tmp_path / "i.pgm"
+    path.write_bytes(header + bytes(20))
+    with pytest.raises(InputFormatError, match="bad PGM header token"):
+        read_pgm(path)
