@@ -7,30 +7,22 @@ sensor.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import InputFormatError
 from .images import MAX_INTENSITY, GrayImage
 
 
+_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*(\S*)")  # whitespace and '#' comments, then one token
+
+
 def _read_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    # Skip whitespace and '#' comments, then collect one token.
-    n = len(buf)
-    while pos < n:
-        c = buf[pos : pos + 1]
-        if c == b"#":
-            while pos < n and buf[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    token = _TOKEN.match(buf, pos)
+    if not token[1]:
         raise InputFormatError("truncated PGM header")
-    return buf[start:pos], pos
+    return token[1], token.end()
 
 
 def read_pgm(path) -> GrayImage:
@@ -66,6 +58,8 @@ def read_pgm(path) -> GrayImage:
 
 
 def write_pgm(path, img: GrayImage) -> None:
+    if not isinstance(img, GrayImage):
+        raise InputFormatError(f"img must be a GrayImage, got {type(img).__name__}; see GrayImage.from_array")
     maxval = MAX_INTENSITY if int(img.data.max(initial=0)) > 255 else 255
     header = f"P5\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
     if maxval > 255:

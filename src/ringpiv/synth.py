@@ -4,7 +4,8 @@ Particles are rendered as hard-edged discs: the downstream binarization
 discards intensity profiles, so the simplest renderer suffices.  All
 randomness goes through numpy's PCG64 generator seeded explicitly, so a
 given (seed, flow, config) triple always produces bit-identical frames.
-The records are checked and read-only on ``images._ReadOnly``, like ``PivConfig``.
+The records are checked and read-only on ``images._ReadOnly``, like ``PivConfig``:
+a flow's fields are finite floats and its ``center`` a pair of them.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ class FlowSpec(_ReadOnly):
       shear    - dx = rate * y, dy = 0
       vortex   - solid-body rotation about ``center`` by angle ``strength``
                  (radians); small angles approximate the usual tangential flow
-    Displacements are in pixels per frame pair.  A field the kind does not
-    read must keep its default.  Read-only, compared and hashed by value.
+    Displacements are in pixels per frame pair.  Every field after ``kind`` is a
+    finite ``float``, ``center`` a tuple of two; a field the kind does not read
+    must keep its default.  Read-only, compared and hashed by value.
     """
 
     __slots__ = ("kind", "dx", "dy", "rate", "center", "strength")
@@ -38,12 +40,11 @@ class FlowSpec(_ReadOnly):
                  center: tuple[float, float] = (0.0, 0.0), strength: float = 0.0):
         if kind not in _FLOW_FIELDS:
             raise ConfigError(f"unknown flow kind {kind!r}")
-        values = (dx, dy, rate, center, strength)  # every field after kind is numeric
+        values = (_real("dx", dx), _real("dy", dy), _real("rate", rate), _center(center),
+                  _real("strength", strength))
         for name, value, default in zip(self.__slots__[1:], values, FlowSpec.__init__.__defaults__):
-            if name not in _FLOW_FIELDS[kind] and not np.array_equal(value, default):
+            if name not in _FLOW_FIELDS[kind] and value != default:
                 raise ConfigError(f"{kind} flow does not use {name}, got {value!r}")
-            if not np.isfinite(value).all():
-                raise ConfigError(f"{name} must be finite, got {value!r}")
         self._set(kind, *values)
 
     @classmethod
@@ -70,6 +71,24 @@ class FlowSpec(_ReadOnly):
         rx, ry = x - cx, y - cy
         c, s = np.cos(self.strength), np.sin(self.strength)
         return (c * rx - s * ry) - rx, (s * rx + c * ry) - ry
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a finite ``float``; a bool, a non-number, NaN or inf raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _center(value) -> tuple[float, float]:
+    """``value`` as an (x, y) tuple of finite floats; any other shape raises ConfigError."""
+    try:
+        x, y = value if np.shape(value) == (2,) else ()
+    except ValueError:  # not a pair; np.shape raises it too, for a ragged sequence
+        raise ConfigError(f"center must be an (x, y) pair, got {value!r}") from None
+    return _real("center", x), _real("center", y)
 
 
 class ParticleField(_ReadOnly):
@@ -161,8 +180,6 @@ def advect(field: ParticleField, flow: FlowSpec) -> ParticleField:
     Particles leaving the frame are kept; they simply render partially or
     not at all.
     """
-    if field.count == 0:
-        return field
     x, y = field.positions[:, 0], field.positions[:, 1]
     ux, uy = flow.displacement_at(x, y)
     moved = np.column_stack([x + ux, y + uy])
@@ -172,8 +189,6 @@ def advect(field: ParticleField, flow: FlowSpec) -> ParticleField:
 def render(field: ParticleField, cfg: RenderConfig) -> np.ndarray:
     """Paint discs over the background; returns an int array (no noise)."""
     img = np.full((cfg.height, cfg.width), cfg.background, dtype=np.int32)
-    if field.count == 0:
-        return img
     r = field.radius
     span = int(np.ceil(r))
     offs = np.arange(-span, span + 1)

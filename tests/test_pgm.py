@@ -28,10 +28,16 @@ def test_roundtrip_8bit(tmp_path):
 def test_reads_comments_in_header(tmp_path):
     path = tmp_path / "c.pgm"
     raster = bytes(range(6))
-    path.write_bytes(b"P5\n# a comment\n3 2\n# another\n255\n" + raster)
-    img = read_pgm(path)
-    assert (img.width, img.height) == (3, 2)
-    assert img.data[1, 2] == 5
+    for header in (
+        b"P5\n# a comment\n3 2\n# another\n255\n",
+        b"P5\n# a CR-terminated comment\r3 2\r255\n",
+        b"P5\v3\f2\v255\n",  # vertical tab and form feed are whitespace too
+        b"P5 #a\n3 #b\n#c\n2 # d\n255\n",  # a comment between every pair of fields
+    ):
+        path.write_bytes(header + raster)
+        img = read_pgm(path)
+        assert (img.width, img.height) == (3, 2), header
+        assert img.data[1, 2] == 5, header
 
 
 def test_rejects_bad_magic(tmp_path):
@@ -76,8 +82,9 @@ def test_rejects_pixel_above_the_10_bit_maximum(tmp_path, maxval, pixel):
 @pytest.mark.parametrize(
     "header",
     [b"P5 1_0 1 255\n", b"P5 +2 1 255\n", b"P5 2 1 2_55\n", b"P5 2 -1 255\n", b"P5 2 1 0x10\n",
-     "P5 \u0662 1 255\n".encode()],
-    ids=["underscore-width", "plus-width", "underscore-maxval", "minus-height", "hex-maxval", "arabic-digit"],
+     "P5 \u0662 1 255\n".encode(), b"P5 2#c\n 1 255\n"],
+    ids=["underscore-width", "plus-width", "underscore-maxval", "minus-height", "hex-maxval", "arabic-digit",
+         "hash-in-width"],
 )
 def test_header_numbers_must_be_ascii_decimal_digits(tmp_path, header):
     """``int()`` would read b"1_0" as 10 and take a sign; a PGM header holds plain digits."""
@@ -85,3 +92,20 @@ def test_header_numbers_must_be_ascii_decimal_digits(tmp_path, header):
     path.write_bytes(header + bytes(20))
     with pytest.raises(InputFormatError, match="bad PGM header token"):
         read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"", b"P5\n3 2", b"P5\n3 2\n# a comment that runs to the end of the file"],
+    ids=["empty", "no-maxval", "comment-to-eof"],
+)
+def test_rejects_a_truncated_header(tmp_path, header):
+    path = tmp_path / "j.pgm"
+    path.write_bytes(header)
+    with pytest.raises(InputFormatError, match="truncated PGM header"):
+        read_pgm(path)
+
+
+def test_write_rejects_an_array_that_is_not_a_gray_image(tmp_path):
+    with pytest.raises(InputFormatError, match="img must be a GrayImage, got ndarray; see GrayImage.from_array"):
+        write_pgm(tmp_path / "k.pgm", np.zeros((2, 2), dtype=np.uint16))

@@ -178,6 +178,34 @@ def test_flow_rejects_a_field_that_is_not_finite(kwargs, name):
         FlowSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"kind": "uniform", "dx": "3"}, "dx must be a number, got '3'"),
+        ({"kind": "uniform", "dx": None}, "dx must be a number, got None"),
+        ({"kind": "uniform", "dx": True}, "dx must be a number, got True"),
+        ({"kind": "uniform", "dx": np.array([1.0, 2.0])}, r"dx must be a number, got array\(\[1\., 2\.\]\)"),
+        ({"kind": "vortex", "center": 5.0, "strength": 0.1}, r"center must be an \(x, y\) pair, got 5\.0"),
+        ({"kind": "vortex", "center": (1.0, 2.0, 3.0), "strength": 0.1}, r"center must be an \(x, y\) pair"),
+        ({"kind": "vortex", "center": [[1.0, 2.0], 3.0], "strength": 0.1}, r"center must be an \(x, y\) pair"),
+        ({"kind": "vortex", "center": ("a", 1.0), "strength": 0.1}, "center must be a number, got 'a'"),
+    ],
+    ids=["string", "none", "bool", "array", "scalar-center", "three-centers", "ragged-center", "string-center"],
+)
+def test_flow_rejects_a_field_that_is_not_a_number(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        FlowSpec(**kwargs)
+
+
+def test_flow_stores_plain_floats_and_hashes_by_value():
+    flow = FlowSpec.vortex([5.0, 6.0], np.float32(0.25))
+    assert flow.center == (5.0, 6.0) and type(flow.center) is tuple
+    assert all(type(v) is float for v in (flow.dx, flow.dy, flow.rate, flow.strength, *flow.center))
+    assert hash(flow) == hash(FlowSpec.vortex((5, 6), 0.25))
+    assert flow == FlowSpec.vortex(np.array([5.0, 6.0]), 0.25)
+    assert type(FlowSpec.uniform(np.float32(0.5), np.int64(2)).dy) is float
+
+
 def test_flow_compares_an_unused_array_field_by_value():
     FlowSpec(kind="uniform", dx=1, center=np.array([0.0, 0.0]))
     with pytest.raises(ConfigError, match="does not use center"):
@@ -222,6 +250,18 @@ def test_render_no_particles_constant_background():
     cfg = RenderConfig(width=48, height=40, background=77)
     f1, f2 = render_pair(f, FlowSpec.uniform(3, 0), cfg)
     assert (f1.data == 77).all() and (f2.data == 77).all()
+
+
+@pytest.mark.parametrize(
+    "flow", [FlowSpec.uniform(3, 1), FlowSpec.shear(0.1), FlowSpec.vortex((5.0, 5.0), 0.1)],
+    ids=["uniform", "shear", "vortex"],
+)
+def test_an_empty_field_advects_and_renders_under_every_flow(flow):
+    moved = advect(ParticleField(positions=np.empty((0, 2)), radius=2.0, seed=0), flow)
+    assert moved.positions.shape == (0, 2)
+    cfg = RenderConfig(width=48, height=40, background=77)
+    img = render(moved, cfg)
+    assert img.shape == (40, 48) and (img == 77).all()
 
 
 def test_render_disc_moves_with_flow():
