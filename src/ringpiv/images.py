@@ -115,7 +115,11 @@ class GrayImage(_ReadOnly):
     @classmethod
     def from_array(cls, arr) -> "GrayImage":
         """Copy a 2-D integer array."""
-        return cls(data=np.asarray(arr))
+        try:
+            data = np.asarray(arr)
+        except ValueError as exc:  # a ragged nested sequence
+            raise InputFormatError(f"data must be a rectangular array: {exc}") from None
+        return cls(data=data)
 
 
 class BinaryImage(_ReadOnly):
@@ -150,7 +154,11 @@ class BinaryImage(_ReadOnly):
     @classmethod
     def from_bool(cls, arr) -> "BinaryImage":
         """Copy a 2-D boolean array."""
-        return cls(bits=np.asarray(arr, dtype=bool))
+        try:
+            bits = np.asarray(arr, dtype=bool)
+        except ValueError as exc:  # a ragged nested sequence
+            raise InputFormatError(f"bits must be a rectangular array: {exc}") from None
+        return cls(bits=bits)
 
     def to_bool(self) -> np.ndarray:
         """The read-only (height, width) bool array."""

@@ -10,12 +10,13 @@ a flow's fields are finite floats and its ``center`` a pair of them.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
 
 from .errors import ConfigError
-from .images import MAX_INTENSITY, GrayImage, _integer, _ReadOnly
+from .images import MAX_INTENSITY, GrayImage, _integer, _ReadOnly, _size
 
 _NOISE_SEED_SALT = 0x5EED_0F_0123
 _FLOW_FIELDS = {"uniform": ("dx", "dy"), "shear": ("rate",), "vortex": ("center", "strength")}
@@ -38,7 +39,7 @@ class FlowSpec(_ReadOnly):
 
     def __init__(self, kind: str, dx: float = 0.0, dy: float = 0.0, rate: float = 0.0,
                  center: tuple[float, float] = (0.0, 0.0), strength: float = 0.0):
-        if kind not in _FLOW_FIELDS:
+        if not isinstance(kind, str) or kind not in _FLOW_FIELDS:
             raise ConfigError(f"unknown flow kind {kind!r}")
         values = (_real("dx", dx), _real("dy", dy), _real("rate", rate), _center(center),
                   _real("strength", strength))
@@ -73,13 +74,18 @@ class FlowSpec(_ReadOnly):
         return (c * rx - s * ry) - rx, (s * rx + c * ry) - ry
 
 
-def _real(name: str, value) -> float:
-    """``value`` as a finite ``float``; a bool, a non-number, NaN or inf raises ConfigError."""
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite float, > 0 if ``positive``; ``10**30`` is 1e30, ``10**400`` not finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not np.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number) or positive and number <= 0:
+        wanted = "a positive finite number" if positive else "finite"
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+    return number
 
 
 def _center(value) -> tuple[float, float]:
@@ -99,9 +105,7 @@ class ParticleField(_ReadOnly):
     __hash__ = object.__hash__
 
     def __init__(self, positions: np.ndarray, radius: float, seed: int):
-        r = radius
-        if isinstance(r, bool) or not (isinstance(r, numbers.Real) and np.isfinite(r) and r > 0):
-            raise ConfigError(f"radius must be a positive finite number, got {r!r}")
+        radius = _real("radius", radius, positive=True)
         seed = _seed(seed)
         try:
             # Its own read-only copy, so the caller's array stays writable and cannot change the field.
@@ -128,25 +132,26 @@ def _seed(value) -> int:
     return seed
 
 
+def _require(name: str, value, kind: type) -> None:
+    """Raise ConfigError unless ``value`` is a ``kind``, as ``compute_field`` does for its inputs."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 class RenderConfig(_ReadOnly):
-    """Frame size and intensities, compared by value; every field is an integer, stored as ``int``."""
+    """Positive frame size and three levels in ``0..MAX_INTENSITY``, as ``int``s; compared by value."""
 
     __slots__ = ("width", "height", "background", "particle_intensity", "noise_amplitude")
 
     def __init__(self, width: int = 320, height: int = 256, background: int = 100,
                  particle_intensity: int = 900, noise_amplitude: int = 0):
-        fields = (width, height, background, particle_intensity, noise_amplitude)
-        self._set(*map(_integer, self.__slots__, fields))
-        if not (0 <= self.background <= MAX_INTENSITY):
-            raise ConfigError(f"background {self.background} outside 0..{MAX_INTENSITY}")
-        if not (0 <= self.particle_intensity <= MAX_INTENSITY):
-            raise ConfigError(
-                f"particle intensity {self.particle_intensity} outside 0..{MAX_INTENSITY}"
-            )
-        if self.noise_amplitude < 0:
-            raise ConfigError("noise amplitude must be >= 0")
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigError(f"width and height must be positive, got {self.width}x{self.height}")
+        size = _size("width", width, ConfigError), _size("height", height, ConfigError)
+        names = self.__slots__[2:]
+        levels = tuple(map(_integer, names, (background, particle_intensity, noise_amplitude)))
+        for name, level in zip(names, levels):
+            if not 0 <= level <= MAX_INTENSITY:
+                raise ConfigError(f"{name} {level} outside 0..{MAX_INTENSITY}")
+        self._set(*size, *levels)
 
 
 def seed_particles(
@@ -158,13 +163,8 @@ def seed_particles(
     count is Poisson-distributed around the expectation, matching a uniform
     seeding process.
     """
-    width, height = _integer("width", width), _integer("height", height)
-    if isinstance(density, bool) or not isinstance(density, numbers.Real):
-        raise ConfigError(f"density must be a number, got {density!r}")
-    if not (np.isfinite(density) and density > 0):
-        raise ConfigError(f"density must be a positive finite number, got {density!r}")
-    if width <= 0 or height <= 0:
-        raise ConfigError(f"width and height must be positive, got {width}x{height}")
+    width, height = _size("width", width, ConfigError), _size("height", height, ConfigError)
+    density = _real("density", density, positive=True)
     seed = _seed(seed)
     rng = np.random.default_rng(seed)
     expected = density * (width * height) / 1024.0
@@ -180,6 +180,8 @@ def advect(field: ParticleField, flow: FlowSpec) -> ParticleField:
     Particles leaving the frame are kept; they simply render partially or
     not at all.
     """
+    _require("field", field, ParticleField)
+    _require("flow", flow, FlowSpec)
     x, y = field.positions[:, 0], field.positions[:, 1]
     ux, uy = flow.displacement_at(x, y)
     moved = np.column_stack([x + ux, y + uy])
@@ -188,6 +190,8 @@ def advect(field: ParticleField, flow: FlowSpec) -> ParticleField:
 
 def render(field: ParticleField, cfg: RenderConfig) -> np.ndarray:
     """Paint discs over the background; returns an int array (no noise)."""
+    _require("field", field, ParticleField)
+    _require("cfg", cfg, RenderConfig)
     img = np.full((cfg.height, cfg.width), cfg.background, dtype=np.int32)
     r = field.radius
     span = int(np.ceil(r))

@@ -35,8 +35,10 @@ def test_gray_rejects_non_integer_and_negative(values, message):
         (lambda: GrayImage(data=[[1, 2]]), "data must be a numpy array, got list"),
         (lambda: GrayImage(data="x"), "data must be a numpy array, got str"),
         (lambda: BinaryImage(bits=[[True]]), "bits must be a numpy array, got list"),
+        (lambda: GrayImage.from_array([[1], [2, 3]]), "data must be a rectangular array: "),
+        (lambda: BinaryImage.from_bool([[1], [2, 3]]), "bits must be a rectangular array: "),
     ],
-    ids=["gray-list", "gray-str", "binary-list"],
+    ids=["gray-list", "gray-str", "binary-list", "gray-ragged", "binary-ragged"],
 )
 def test_constructors_reject_what_is_not_an_array(make, message):
     with pytest.raises(InputFormatError, match=message):

@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -37,7 +40,7 @@ def test_zero_density_rejected():
         seed_particles(320, 256, 0, seed=1)
 
 
-@pytest.mark.parametrize("density", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("density", [float("nan"), float("inf"), -1.0, pytest.param(10**400, id="10**400")])
 def test_seeding_rejects_a_density_that_is_not_positive_and_finite(density):
     with pytest.raises(ConfigError, match="density must be a positive finite number"):
         seed_particles(320, 256, density, seed=1)
@@ -45,7 +48,8 @@ def test_seeding_rejects_a_density_that_is_not_positive_and_finite(density):
 
 @pytest.mark.parametrize("width, height", [(0, 256), (320, -1)])
 def test_seeding_rejects_a_frame_that_is_not_positive(width, height):
-    with pytest.raises(ConfigError, match="width and height must be positive"):
+    name, value = ("width", width) if width <= 0 else ("height", height)
+    with pytest.raises(ConfigError, match=f"{name} {value} must be positive"):
         seed_particles(width, height, 10, seed=1)
 
 
@@ -65,8 +69,25 @@ def test_seeding_rejects_a_density_that_is_not_a_number(density):
 
 
 def test_seeding_accepts_numpy_numbers():
-    f = seed_particles(np.int64(64), np.uint16(32), np.float32(10), seed=0)
+    f = seed_particles(np.int64(64), np.uint16(32), np.float32(10), seed=0, radius=np.float32(2.5))
     assert f.positions.shape[1] == 2 and f.count > 0
+    # density and radius are used and stored as Python floats.
+    assert type(f.radius) is float and f.radius == 2.5
+    np.testing.assert_array_equal(f.positions, seed_particles(64, 32, 10.0, seed=0).positions)
+    assert type(ParticleField(positions=np.zeros((1, 2)), radius=np.int64(2), seed=0).radius) is float
+
+
+@pytest.mark.parametrize(
+    "width, height, density, seed",
+    [(320, 256, 10.0, 42), (64, 32, np.float32(2.5), 7), (33, 17, 3, 0)],
+    ids=["paper", "float32-density", "odd-size"],
+)
+def test_seeding_draws_the_count_then_every_x_then_every_y(width, height, density, seed):
+    # A check that drew from the generator, or a reordered draw, would change every frame.
+    rng = np.random.default_rng(seed)
+    n = rng.poisson(float(density) * (width * height) / 1024)
+    expected = np.column_stack([rng.uniform(0, width, n), rng.uniform(0, height, n)])
+    np.testing.assert_array_equal(seed_particles(width, height, density, seed).positions, expected)
 
 
 @pytest.mark.parametrize(
@@ -88,15 +109,52 @@ def test_particle_field_rejects_positions_that_are_not_a_finite_n_by_2_array(pos
 
 @pytest.mark.parametrize("kwargs", [{"width": 0}, {"height": -8}])
 def test_render_config_rejects_a_frame_that_is_not_positive(kwargs):
-    with pytest.raises(ConfigError, match="width and height must be positive"):
+    ((name, value),) = kwargs.items()
+    with pytest.raises(ConfigError, match=f"{name} {value} must be positive"):
         RenderConfig(**kwargs)
 
 
-@pytest.mark.parametrize("radius", [-2.0, 0.0, float("nan"), float("inf"), True])
-def test_particle_field_rejects_a_radius_that_is_not_positive_and_finite(radius):
-    with pytest.raises(ConfigError, match="radius must be a positive finite number"):
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"background": 1024},
+        {"background": -1},
+        {"particle_intensity": -1},
+        {"particle_intensity": 1024},
+        {"noise_amplitude": -1},
+        {"noise_amplitude": 1024},
+        {"noise_amplitude": 2**70},
+    ],
+    ids=["background-1024", "background--1", "particle-intensity--1", "particle-intensity-1024",
+         "noise--1", "noise-1024", "noise-2**70"],
+)
+def test_render_config_rejects_a_level_outside_10_bits(kwargs):
+    ((name, value),) = kwargs.items()
+    with pytest.raises(ConfigError, match=rf"^{name} {value} outside 0\.\.1023$"):
+        RenderConfig(**kwargs)
+    RenderConfig(**{name: 0})
+    RenderConfig(**{name: 1023})
+
+
+_RADIUS_NOT_POSITIVE = "radius must be a positive finite number"
+
+
+@pytest.mark.parametrize(
+    "radius, message",
+    [
+        (-2.0, _RADIUS_NOT_POSITIVE),
+        (0.0, _RADIUS_NOT_POSITIVE),
+        (float("nan"), _RADIUS_NOT_POSITIVE),
+        (float("inf"), _RADIUS_NOT_POSITIVE),
+        (10**400, _RADIUS_NOT_POSITIVE),
+        (True, "radius must be a number, got True"),
+    ],
+    ids=["-2.0", "0.0", "nan", "inf", "10**400", "True"],
+)
+def test_particle_field_rejects_a_radius_that_is_not_positive_and_finite(radius, message):
+    with pytest.raises(ConfigError, match=message):
         seed_particles(64, 64, 10, seed=1, radius=radius)
-    with pytest.raises(ConfigError, match="radius must be a positive finite number"):
+    with pytest.raises(ConfigError, match=message):
         ParticleField(positions=np.zeros((1, 2)), radius=radius, seed=0)
 
 
@@ -169,8 +227,11 @@ def test_flow_rejects_a_field_its_kind_does_not_use(kwargs, unused):
         ({"kind": "shear", "rate": float("inf")}, "rate"),
         ({"kind": "vortex", "center": (5.0, 5.0), "strength": float("nan")}, "strength"),
         ({"kind": "vortex", "center": (float("nan"), 5.0), "strength": 0.1}, "center"),
+        ({"kind": "uniform", "dx": 10**400}, "dx"),
+        ({"kind": "vortex", "center": (1.0, -(10**400)), "strength": 0.1}, "center"),
     ],
-    ids=["uniform-dx", "uniform-dy", "shear-rate", "vortex-strength", "vortex-center"],
+    ids=["uniform-dx", "uniform-dy", "shear-rate", "vortex-strength", "vortex-center",
+         "uniform-dx-10**400", "vortex-center-10**400"],
 )
 def test_flow_rejects_a_field_that_is_not_finite(kwargs, name):
     # A NaN displacement would otherwise move every particle out of frame 2.
@@ -204,6 +265,13 @@ def test_flow_stores_plain_floats_and_hashes_by_value():
     assert hash(flow) == hash(FlowSpec.vortex((5, 6), 0.25))
     assert flow == FlowSpec.vortex(np.array([5.0, 6.0]), 0.25)
     assert type(FlowSpec.uniform(np.float32(0.5), np.int64(2)).dy) is float
+    assert FlowSpec.uniform(10**30, 0).dx == 1e30  # beyond int64, not beyond float
+
+
+@pytest.mark.parametrize("kind", [None, "spiral", ["uniform"]], ids=["none", "spiral", "list"])
+def test_flow_rejects_an_unknown_kind(kind):
+    with pytest.raises(ConfigError, match=rf"^unknown flow kind {re.escape(repr(kind))}$"):
+        FlowSpec(kind=kind)
 
 
 def test_flow_compares_an_unused_array_field_by_value():
@@ -219,6 +287,23 @@ def test_particle_field_copies_the_callers_positions():
     np.testing.assert_array_equal(f.positions, [[1.0, 2.0]])
     with pytest.raises(ValueError):
         f.positions[0, 0] = 3.0
+
+
+_ENTRY_ARGUMENTS = [(advect, "field"), (advect, "flow"), (render, "field"), (render, "cfg"),
+                    (render_pair, "field"), (render_pair, "flow"), (render_pair, "cfg")]
+
+
+@pytest.mark.parametrize(
+    "function, name", _ENTRY_ARGUMENTS, ids=[f"{f.__name__}-{name}" for f, name in _ENTRY_ARGUMENTS]
+)
+def test_synth_entry_points_reject_an_argument_of_the_wrong_type(function, name):
+    good = {"field": seed_particles(32, 32, 2, seed=0), "flow": FlowSpec.uniform(1, 0), "cfg": RenderConfig(32, 32)}
+    kwargs = {arg: good[arg] for arg in inspect.signature(function).parameters}
+    kind = type(kwargs[name]).__name__
+    for wrong in (np.zeros((3, 2)), {"kind": "uniform"}, None):
+        kwargs[name] = wrong
+        with pytest.raises(ConfigError, match=f"^{name} must be a {kind}, got {type(wrong).__name__}$"):
+            function(**kwargs)
 
 
 def test_advect_identity_flow():
