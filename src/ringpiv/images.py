@@ -17,6 +17,14 @@ from .errors import ConfigError, DimensionError, InputFormatError
 MAX_INTENSITY = 1023  # 10-bit sensor ceiling
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, or a stand-in when an int is past Python's 4300-digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _integer(name: str, value, error: type[Exception] = ConfigError) -> int:
     """``value`` as an ``int``; a bool or a non-integer raises ``error``.
 
@@ -29,14 +37,14 @@ def _integer(name: str, value, error: type[Exception] = ConfigError) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise error(f"{name} must be an integer, got {value!r}")
+    raise error(f"{name} must be an integer, got {_shown(value)}")
 
 
 def _size(name: str, value, error: type[Exception]) -> int:
     """``value`` as a positive ``int``; a bool, a non-integer or a value <= 0 raises ``error``."""
     value = _integer(name, value, error)
     if value <= 0:
-        raise error(f"{name} {value} must be positive")
+        raise error(f"{name} {_shown(value)} must be positive")
     return value
 
 

@@ -105,7 +105,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InputFormatError
-from .images import GrayImage, _integer, _ReadOnly, _size
+from .images import MAX_INTENSITY, GrayImage, _integer, _ReadOnly, _shown, _size
 
 _WORD = np.uint64
 _CHUNK_BYTES = 1 << 20  # one correlate call's slice buffer, see _chunk_windows
@@ -131,9 +131,9 @@ def tile_windows(width: int, height: int, window_size: int) -> WindowGrid:
     window_size = _size("window_size", window_size, ConfigError)
     width, height = _size("width", width, DimensionError), _size("height", height, DimensionError)
     if width % window_size:
-        raise DimensionError(f"width {width} is not divisible by window size {window_size}")
+        raise DimensionError(f"width {_shown(width)} is not divisible by window size {window_size}")
     if height % window_size:
-        raise DimensionError(f"height {height} is not divisible by window size {window_size}")
+        raise DimensionError(f"height {_shown(height)} is not divisible by window size {window_size}")
     return WindowGrid(window_size=window_size, cols=width // window_size, rows=height // window_size)
 
 
@@ -162,18 +162,18 @@ class PivConfig(_ReadOnly):
         if threshold is not None:
             threshold = _integer("threshold", threshold)
         if pattern_size > window_size:
-            raise ConfigError(f"pattern_size {pattern_size} exceeds window_size {window_size}")
+            raise ConfigError(f"pattern_size {_shown(pattern_size)} exceeds window_size {window_size}")
         if window_size > 64:
             raise ConfigError("window_size above 64 is not supported by the packed correlator")
         if binarization not in ("adaptive", "global"):
-            raise ConfigError(f"unknown binarization mode {binarization!r}")
+            raise ConfigError(f"unknown binarization mode {_shown(binarization)}")
         if binarization == "adaptive":
             if threshold is not None:
-                raise ConfigError(f"adaptive binarization takes no threshold, got {threshold}")
+                raise ConfigError(f"adaptive binarization takes no threshold, got {_shown(threshold)}")
         elif threshold is None:
             raise ConfigError("global binarization requires a threshold")
-        elif not (0 <= threshold <= 1023):
-            raise ConfigError(f"threshold {threshold} outside 0..1023")
+        elif not (0 <= threshold <= MAX_INTENSITY):
+            raise ConfigError(f"threshold {_shown(threshold)} outside 0..{MAX_INTENSITY}")
         self._set(window_size, pattern_size, binarization, threshold)
 
 
@@ -210,7 +210,7 @@ def adaptive_thresholds(data: np.ndarray, window_size: int) -> np.ndarray:
     # ws * 1023: the pixels' own uint16, with no cast, up to ws = 64.
     sums = (
         data.reshape(grid.rows, ws, data.shape[1])
-        .sum(axis=1, dtype=np.min_scalar_type(ws * 1023))
+        .sum(axis=1, dtype=np.min_scalar_type(ws * MAX_INTENSITY))
         .reshape(grid.rows, grid.cols, ws)
         .sum(axis=2, dtype=np.int64)
     )

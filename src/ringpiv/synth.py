@@ -1,9 +1,10 @@
 """Synthetic particle image pairs with known flow fields.
 
 Particles are rendered as hard-edged discs: the downstream binarization
-discards intensity profiles, so the simplest renderer suffices.  All
-randomness goes through numpy's PCG64 generator seeded explicitly, so a
-given (seed, flow, config) triple always produces bit-identical frames.
+discards intensity profiles, so the simplest renderer suffices, and a
+frame holds only the background and particle levels.  The one random step,
+``seed_particles``, draws from numpy's PCG64 generator seeded explicitly, so
+a given (seed, flow, config) triple always produces bit-identical frames.
 The records are checked and read-only on ``images._ReadOnly``, like ``PivConfig``:
 a flow's fields are finite floats and its ``center`` a pair of them.
 """
@@ -16,9 +17,8 @@ import numbers
 import numpy as np
 
 from .errors import ConfigError
-from .images import MAX_INTENSITY, GrayImage, _integer, _ReadOnly, _size
+from .images import MAX_INTENSITY, GrayImage, _integer, _ReadOnly, _shown, _size
 
-_NOISE_SEED_SALT = 0x5EED_0F_0123
 _FLOW_FIELDS = {"uniform": ("dx", "dy"), "shear": ("rate",), "vortex": ("center", "strength")}
 
 
@@ -40,7 +40,7 @@ class FlowSpec(_ReadOnly):
     def __init__(self, kind: str, dx: float = 0.0, dy: float = 0.0, rate: float = 0.0,
                  center: tuple[float, float] = (0.0, 0.0), strength: float = 0.0):
         if not isinstance(kind, str) or kind not in _FLOW_FIELDS:
-            raise ConfigError(f"unknown flow kind {kind!r}")
+            raise ConfigError(f"unknown flow kind {_shown(kind)}")
         values = (_real("dx", dx), _real("dy", dy), _real("rate", rate), _center(center),
                   _real("strength", strength))
         for name, value, default in zip(self.__slots__[1:], values, FlowSpec.__init__.__defaults__):
@@ -77,14 +77,14 @@ class FlowSpec(_ReadOnly):
 def _real(name: str, value, positive: bool = False) -> float:
     """``value`` as a finite float, > 0 if ``positive``; ``10**30`` is 1e30, ``10**400`` not finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number) or positive and number <= 0:
         wanted = "a positive finite number" if positive else "finite"
-        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+        raise ConfigError(f"{name} must be {wanted}, got {_shown(value)}")
     return number
 
 
@@ -93,20 +93,19 @@ def _center(value) -> tuple[float, float]:
     try:
         x, y = value if np.shape(value) == (2,) else ()
     except ValueError:  # not a pair; np.shape raises it too, for a ragged sequence
-        raise ConfigError(f"center must be an (x, y) pair, got {value!r}") from None
+        raise ConfigError(f"center must be an (x, y) pair, got {_shown(value)}") from None
     return _real("center", x), _real("center", y)
 
 
 class ParticleField(_ReadOnly):
-    """Discs of one radius, seeded by ``seed``; ``==`` is identity, as for the images."""
+    """Discs of one radius; ``==`` is identity, as for the images."""
 
-    __slots__ = ("positions", "radius", "seed")  # positions: shape (n, 2) float64, columns (x, y)
+    __slots__ = ("positions", "radius")  # positions: shape (n, 2) float64, columns (x, y)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, positions: np.ndarray, radius: float, seed: int):
+    def __init__(self, positions: np.ndarray, radius: float):
         radius = _real("radius", radius, positive=True)
-        seed = _seed(seed)
         try:
             # Its own read-only copy, so the caller's array stays writable and cannot change the field.
             positions = np.array(positions, dtype=float)
@@ -117,19 +116,11 @@ class ParticleField(_ReadOnly):
         if not np.isfinite(positions).all():
             raise ConfigError("positions must be finite")
         positions.setflags(write=False)
-        self._set(positions, radius, seed)
+        self._set(positions, radius)
 
     @property
     def count(self) -> int:
         return len(self.positions)
-
-
-def _seed(value) -> int:
-    """``value`` as an ``int`` seed; a bool, a non-integer or a negative value raises ConfigError."""
-    seed = _integer("seed", value)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    return seed
 
 
 def _require(name: str, value, kind: type) -> None:
@@ -139,18 +130,18 @@ def _require(name: str, value, kind: type) -> None:
 
 
 class RenderConfig(_ReadOnly):
-    """Positive frame size and three levels in ``0..MAX_INTENSITY``, as ``int``s; compared by value."""
+    """Positive frame size and two levels in ``0..MAX_INTENSITY``, as ``int``s; compared by value."""
 
-    __slots__ = ("width", "height", "background", "particle_intensity", "noise_amplitude")
+    __slots__ = ("width", "height", "background", "particle_intensity")
 
     def __init__(self, width: int = 320, height: int = 256, background: int = 100,
-                 particle_intensity: int = 900, noise_amplitude: int = 0):
+                 particle_intensity: int = 900):
         size = _size("width", width, ConfigError), _size("height", height, ConfigError)
         names = self.__slots__[2:]
-        levels = tuple(map(_integer, names, (background, particle_intensity, noise_amplitude)))
+        levels = tuple(map(_integer, names, (background, particle_intensity)))
         for name, level in zip(names, levels):
             if not 0 <= level <= MAX_INTENSITY:
-                raise ConfigError(f"{name} {level} outside 0..{MAX_INTENSITY}")
+                raise ConfigError(f"{name} {_shown(level)} outside 0..{MAX_INTENSITY}")
         self._set(*size, *levels)
 
 
@@ -165,13 +156,15 @@ def seed_particles(
     """
     width, height = _size("width", width, ConfigError), _size("height", height, ConfigError)
     density = _real("density", density, positive=True)
-    seed = _seed(seed)
+    seed = _integer("seed", seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {_shown(seed)}")
     rng = np.random.default_rng(seed)
     expected = density * (width * height) / 1024.0
     n = int(rng.poisson(expected))
     xs = rng.uniform(0.0, width, size=n)
     ys = rng.uniform(0.0, height, size=n)
-    return ParticleField(positions=np.column_stack([xs, ys]), radius=radius, seed=seed)
+    return ParticleField(positions=np.column_stack([xs, ys]), radius=radius)
 
 
 def advect(field: ParticleField, flow: FlowSpec) -> ParticleField:
@@ -185,11 +178,11 @@ def advect(field: ParticleField, flow: FlowSpec) -> ParticleField:
     x, y = field.positions[:, 0], field.positions[:, 1]
     ux, uy = flow.displacement_at(x, y)
     moved = np.column_stack([x + ux, y + uy])
-    return ParticleField(positions=moved, radius=field.radius, seed=field.seed)
+    return ParticleField(positions=moved, radius=field.radius)
 
 
 def render(field: ParticleField, cfg: RenderConfig) -> np.ndarray:
-    """Paint discs over the background; returns an int array (no noise)."""
+    """Paint discs over the background; returns an int array."""
     _require("field", field, ParticleField)
     _require("cfg", cfg, RenderConfig)
     img = np.full((cfg.height, cfg.width), cfg.background, dtype=np.int32)
@@ -212,13 +205,4 @@ def render_pair(
     field: ParticleField, flow: FlowSpec, cfg: RenderConfig
 ) -> tuple[GrayImage, GrayImage]:
     """Frame 1 renders the field; frame 2 renders the advected field."""
-    first = render(field, cfg)
-    second = render(advect(field, flow), cfg)
-    if cfg.noise_amplitude:
-        rng = np.random.default_rng(field.seed ^ _NOISE_SEED_SALT)
-        amp = cfg.noise_amplitude
-        first = first + rng.integers(-amp, amp + 1, size=first.shape)
-        second = second + rng.integers(-amp, amp + 1, size=second.shape)
-    first = np.clip(first, 0, MAX_INTENSITY)
-    second = np.clip(second, 0, MAX_INTENSITY)
-    return GrayImage.from_array(first), GrayImage.from_array(second)
+    return GrayImage.from_array(render(field, cfg)), GrayImage.from_array(render(advect(field, flow), cfg))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ringpiv import BinaryImage, DimensionError, GrayImage, InputFormatError
+from ringpiv import BinaryImage, ConfigError, DimensionError, GrayImage, InputFormatError, PivConfig, tile_windows
 from ringpiv.piv import _pack_window_rows
+from ringpiv.synth import FlowSpec, RenderConfig, seed_particles
 
 
 def test_gray_rejects_out_of_range():
@@ -141,3 +142,26 @@ def test_pack_rows_equals_per_bit_reference():
         off = (w - p) // 2
         pattern = windows[..., off : off + p, off : off + p]
         np.testing.assert_array_equal(_pack_window_rows(pattern), reference_row_words(pattern), f"w={w}")
+
+
+_BIG = 10**5000  # past the default 4300-digit limit of str(), where the interpreter has one
+_HUGE_INT_CASES = {
+    "piv-window-size": (lambda: PivConfig(window_size=-_BIG), ConfigError, "window_size"),
+    "piv-pattern-size": (lambda: PivConfig(pattern_size=_BIG), ConfigError, "pattern_size"),
+    "piv-adaptive-threshold": (lambda: PivConfig(threshold=_BIG), ConfigError, "threshold"),
+    "piv-global-threshold": (lambda: PivConfig(binarization="global", threshold=_BIG), ConfigError, "threshold"),
+    "tile-not-divisible": (lambda: tile_windows(_BIG + 1, 32, 32), DimensionError, "width"),
+    "tile-negative": (lambda: tile_windows(-_BIG, 32, 32), DimensionError, "width"),
+    "render-background": (lambda: RenderConfig(background=_BIG), ConfigError, "background"),
+    "render-width": (lambda: RenderConfig(width=-_BIG), ConfigError, "width"),
+    "seed": (lambda: seed_particles(32, 32, 1.0, -_BIG), ConfigError, "seed"),
+    "flow-dx": (lambda: FlowSpec.uniform(_BIG, 0), ConfigError, "dx"),
+    "flow-kind": (lambda: FlowSpec(kind=_BIG), ConfigError, "kind"),
+    "flow-center": (lambda: FlowSpec.vortex(_BIG, 0.1), ConfigError, "center"),
+}
+
+
+@pytest.mark.parametrize("make, error, name", _HUGE_INT_CASES.values(), ids=_HUGE_INT_CASES.keys())
+def test_a_huge_int_is_rejected_with_the_package_error(make, error, name):
+    with pytest.raises(error, match=rf"\b{name}\b"):
+        make()

@@ -21,8 +21,8 @@ def records():
             grid=grid, vectors=[Displacement(1, -2, 60, 0), Displacement(0, 0, 64, 1)]
         ),
         "FlowSpec": FlowSpec.vortex(center=(5.0, 6.0), strength=0.1),
-        "RenderConfig": RenderConfig(width=64, height=32, noise_amplitude=3),
-        "ParticleField": ParticleField(positions=[[1.5, 2.0], [30.0, 4.25]], radius=2.5, seed=7),
+        "RenderConfig": RenderConfig(width=64, height=32, background=77),
+        "ParticleField": ParticleField(positions=[[1.5, 2.0], [30.0, 4.25]], radius=2.5),
     }
 
 
@@ -36,7 +36,7 @@ def contents(record):
     if isinstance(record, BinaryImage):
         return record.bits.tolist()
     if isinstance(record, ParticleField):
-        return record.positions.tolist(), record.radius, record.seed
+        return record.positions.tolist(), record.radius
     return record
 
 
@@ -89,8 +89,8 @@ def test_records_reduce_to_their_constructor_call():
     assert r["PivConfig"].__reduce__() == (PivConfig, (16, 8, "global", 500))
     assert r["VectorField"].__reduce__() == (VectorField, (r["VectorField"].grid, r["VectorField"].vectors))
     assert r["FlowSpec"].__reduce__() == (FlowSpec, ("vortex", 0.0, 0.0, 0.0, (5.0, 6.0), 0.1))
-    assert r["RenderConfig"].__reduce__() == (RenderConfig, (64, 32, 100, 900, 3))
-    assert r["ParticleField"].__reduce__() == (ParticleField, (r["ParticleField"].positions, 2.5, 7))
+    assert r["RenderConfig"].__reduce__() == (RenderConfig, (64, 32, 77, 900))
+    assert r["ParticleField"].__reduce__() == (ParticleField, (r["ParticleField"].positions, 2.5))
 
 
 def test_config_compares_and_hashes_by_value():
@@ -106,7 +106,7 @@ def test_config_compares_and_hashes_by_value():
 
 def test_particle_field_compares_by_identity_and_is_hashable():
     a = records()["ParticleField"]
-    b = ParticleField(positions=a.positions, radius=a.radius, seed=a.seed)
+    b = ParticleField(positions=a.positions, radius=a.radius)
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b, a}) == 2
@@ -136,7 +136,7 @@ def test_reprs_name_every_field():
         "FlowSpec(kind='vortex', dx=0.0, dy=0.0, rate=0.0, center=(5.0, 6.0), strength=0.1)"
     )
     assert repr(r["RenderConfig"]) == (
-        "RenderConfig(width=64, height=32, background=100, particle_intensity=900, noise_amplitude=3)"
+        "RenderConfig(width=64, height=32, background=77, particle_intensity=900)"
     )
     assert repr(r["ParticleField"]).startswith("ParticleField(positions=array([[ 1.5 ,  2.  ],")
-    assert repr(r["ParticleField"]).endswith("]]), radius=2.5, seed=7)")
+    assert repr(r["ParticleField"]).endswith("]]), radius=2.5)")
